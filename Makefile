@@ -11,10 +11,10 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) -m repro bench
 
 bench-full:
-	REPRO_BENCH_SCALE=1.0 $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
+	$(PYTHON) -m repro figures
 
 figures:
 	$(PYTHON) -m repro figures

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 def _make_runner(args: argparse.Namespace, quiet: bool = False):
@@ -272,42 +272,59 @@ def _cmd_gallery(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_vm(args: argparse.Namespace) -> int:
-    import json as _json
-
+def _point(args: argparse.Namespace, tag: str, **fields: Any):
+    """One point of a CLI scenario: ``args.program`` at ``args.scale``,
+    labelled ``command:program:tag``."""
     from .analysis.figures import paper_workload_params
-    from .metering.steal import audit_vm_result
     from .runner import ExperimentSpec
-    from .runner.specs import run_spec
+
+    return ExperimentSpec(
+        program=args.program,
+        program_kwargs=paper_workload_params(args.scale)[args.program],
+        check_invariants=True if args.check_invariants else None,
+        label=f"{args.command}:{args.program}:{tag}", **fields)
+
+
+def _scenario_doc(args: argparse.Namespace, checks, specs, results,
+                  **extra: Any) -> Dict[str, Any]:
+    """The report fields every single-program scenario shares."""
+    return dict(command=args.command, program=args.program,
+                scale=args.scale,
+                check_invariants=bool(args.check_invariants),
+                passed=checks.passed, checks=checks.to_list(),
+                results={spec.name: res.to_dict()
+                         for spec, res in zip(specs, results)},
+                **extra)
+
+
+def _finish(doc: Dict[str, Any], path: Optional[str]) -> int:
+    """Exit tail of every self-checking command: write the ``--json``
+    report, count the checks, exit non-zero if any failed."""
+    from .analysis.scenario import write_report
+
+    if path:
+        write_report(path, doc)
+    n_ok = sum(1 for c in doc["checks"] if c["passed"])
+    print(f"\n{n_ok}/{len(doc['checks'])} checks passed")
+    return 0 if doc["passed"] else 1
+
+
+def _cmd_vm(args: argparse.Namespace) -> int:
+    from .analysis.figures import _execute
+    from .analysis.scenario import CheckList
+    from .metering.steal import audit_vm_result
 
     _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
-    program_kwargs = paper_workload_params(args.scale)[args.program]
-    specs = [ExperimentSpec(program=args.program,
-                            program_kwargs=program_kwargs,
-                            attack=None, vm={},
-                            check_invariants=check_invariants,
-                            label=f"vm:{args.program}:none")]
+    specs = [_point(args, "none", vm={})]
     attacked = args.attack != "none"
     if attacked:
-        specs.append(ExperimentSpec(
-            program=args.program, program_kwargs=program_kwargs,
-            attack="vm-sched",
-            attack_kwargs={"burn_fraction": args.burn_fraction}, vm={},
-            check_invariants=check_invariants,
-            label=f"vm:{args.program}:sched"))
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        results = [run_spec(spec) for spec in specs]
-    else:
-        results = runner.run_results(specs)
+        specs.append(_point(
+            args, "sched", vm={}, attack="vm-sched",
+            attack_kwargs={"burn_fraction": args.burn_fraction}))
+    results = _execute(specs, _make_runner(args, quiet=True))
 
     tick_ns = 10_000_000  # HypervisorConfig default
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
+    checks = CheckList()
 
     def describe(tag: str, res) -> None:
         s = res.stats
@@ -329,9 +346,9 @@ def _cmd_vm(args: argparse.Namespace) -> int:
     baseline = results[0]
     describe("baseline", baseline)
     for res in results:
-        check("per-vCPU conservation ran+idle+steal == host wall",
-              res.stats["conservation_gap_ns"] == 0,
-              f"gap={res.stats['conservation_gap_ns']}ns")
+        checks.check("per-vCPU conservation ran+idle+steal == host wall",
+                     res.stats["conservation_gap_ns"] == 0,
+                     f"gap={res.stats['conservation_gap_ns']}ns")
     audit_doc = None
     if attacked:
         res = results[1]
@@ -343,82 +360,85 @@ def _cmd_vm(args: argparse.Namespace) -> int:
                      "est_steal_ns": audit.est_steal_ns,
                      "reported_steal_ns": audit.reported_steal_ns,
                      "overbilling_ns": audit.overbilling_ns}
-        check("co-resident victim's bill inflates",
-              res.usage.total_ns > baseline.usage.total_ns,
-              f"attacked={res.total_s:.3f}s baseline={baseline.total_s:.3f}s")
-        check("attacker billed ~nothing",
-              res.attacker_usage.total_ns
-              <= max(2 * tick_ns, 0.05 * res.usage.total_ns),
-              f"attacker billed={res.attacker_usage.total_seconds:.3f}s")
+        checks.check("co-resident victim's bill inflates",
+                     res.usage.total_ns > baseline.usage.total_ns,
+                     f"attacked={res.total_s:.3f}s "
+                     f"baseline={baseline.total_s:.3f}s")
+        checks.check("attacker billed ~nothing",
+                     res.attacker_usage.total_ns
+                     <= max(2 * tick_ns, 0.05 * res.usage.total_ns),
+                     f"attacker billed="
+                     f"{res.attacker_usage.total_seconds:.3f}s")
         est = res.stats["est_steal_ns"]
         rep = res.stats["reported_steal_ns"]
-        check("guest steal estimate within 5% of reported",
-              abs(est - rep) <= max(4_000_000, 0.05 * rep),
-              f"est={est / 1e9:.3f}s reported={rep / 1e9:.3f}s")
+        checks.check("guest steal estimate within 5% of reported",
+                     abs(est - rep) <= max(4_000_000, 0.05 * rep),
+                     f"est={est / 1e9:.3f}s reported={rep / 1e9:.3f}s")
     print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
+    print(checks.render())
+    return _finish(_scenario_doc(
+        args, checks, specs, results,
+        attack="vm-sched" if attacked else "none",
+        burn_fraction=args.burn_fraction if attacked else None,
+        audit=audit_doc), args.json)
 
-    if args.json:
-        doc = {
-            "command": "vm",
-            "program": args.program,
-            "attack": "vm-sched" if attacked else "none",
-            "burn_fraction": args.burn_fraction if attacked else None,
-            "scale": args.scale,
-            "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "audit": audit_doc,
-            "results": {spec.name: res.to_dict()
-                        for spec, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+
+def _defense_scenario(args: argparse.Namespace, field: str, on, off,
+                      tags: Tuple[str, str], neutral: Tuple[Any, str, str],
+                      header: str, describe: Callable[..., None],
+                      plane_checks: Callable[..., None],
+                      **extra: Any) -> int:
+    """Clean vs defended vs undefended, the scenario ``faults`` and
+    ``timesync`` share.
+
+    ``field`` is the spec field carrying a plane's plan; ``on``/``off``
+    are the defended/undefended plans and ``tags`` their point tags.
+    Each run's error is the billed time (plus any sync-skewed billing)
+    against the oracle; the defended run's trust-annotated invoice is
+    printed; ``neutral`` = (plan, check name, detail) checks that an
+    identity-neutral plan hashes like none; ``plane_checks(check,
+    errors, results, trust)`` adds the plane's own checks.
+    """
+    from .analysis.figures import _execute
+    from .analysis.scenario import CheckList
+    from .metering.billing import TrustReport, invoice_for
+    from .runner.specs import spec_key
+
+    _apply_invariants_flag(args)
+    tags = ("clean",) + tags
+    specs = [_point(args, tag, **{field: plan})
+             for tag, plan in zip(tags, (None, on.to_dict(), off.to_dict()))]
+    results = _execute(specs, _make_runner(args, quiet=True))
+
+    print(header)
+    errors = {}
+    for tag, res in zip(tags, results):
+        skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
+        errors[tag] = abs(res.total_s + skew_ns / 1e9 - res.oracle_own_s())
+        describe(tag, res, errors[tag])
+
+    trust = TrustReport.from_stats(results[1].stats)
+    print()
+    print(invoice_for(args.program, results[1].usage, trust=trust).render())
+
+    checks = CheckList()
+    plan, name, detail = neutral
+    checks.check(name, spec_key(_point(args, "a", **{field: None}))
+                 == spec_key(_point(args, "b", **{field: plan})), detail)
+    plane_checks(checks.check, errors, results, trust)
+    print()
+    print(checks.render())
+    return _finish(_scenario_doc(args, checks, specs, results,
+                                 errors_s=errors, trust=trust.to_dict(),
+                                 **extra), args.json)
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis.figures import paper_workload_params
     from .faults import sweep_plan
-    from .metering.billing import TrustReport, invoice_for
-    from .runner import ExperimentSpec
-    from .runner.specs import run_spec, spec_key
 
-    _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
-    program_kwargs = paper_workload_params(args.scale)[args.program]
     plan_on = sweep_plan(args.intensity, watchdog=True)
-    plan_off = sweep_plan(args.intensity, watchdog=False)
 
-    def spec(faults, tag):
-        return ExperimentSpec(
-            program=args.program, program_kwargs=program_kwargs,
-            faults=faults, check_invariants=check_invariants,
-            label=f"faults:{args.program}:{tag}")
-
-    specs = [spec(None, "clean"),
-             spec(plan_on.to_dict(), "wd-on"),
-             spec(plan_off.to_dict(), "wd-off")]
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        results = [run_spec(s) for s in specs]
-    else:
-        results = runner.run_results(specs)
-    clean, wd_on, wd_off = results
-
-    print(f"fault plan (intensity {args.intensity}): {plan_on.describe()}")
-    errors = {}
-    for tag, res in zip(("clean", "wd-on", "wd-off"), results):
-        err = abs(res.total_s - res.oracle_own_s())
-        errors[tag] = err
+    def describe(tag: str, res, err: float) -> None:
         print(f"{tag:<7} billed {res.total_s:.3f}s "
               f"(oracle {res.oracle_own_s():.3f}s, error {err:.3f}s)")
         lost = res.stats.get("fault_ticks_lost")
@@ -436,122 +456,55 @@ def _cmd_faults(args: argparse.Namespace) -> int:
                   f"uncertainty="
                   f"{res.stats['watchdog_uncertainty_ns'] / 1e9:.3f}s")
 
-    trust = TrustReport.from_stats(wd_on.stats)
-    invoice = invoice_for(args.program, wd_on.usage, trust=trust)
-    print()
-    print(invoice.render())
+    def plane_checks(check, errors, results, trust) -> None:
+        wd_on = results[1].stats
+        if args.intensity > 0:
+            check("watchdog reduces metering error",
+                  errors["wd-on"] < errors["wd-off"],
+                  f"wd-on={errors['wd-on']:.3f}s "
+                  f"wd-off={errors['wd-off']:.3f}s")
+            check("lost jiffies caught up by the watchdog",
+                  wd_on.get("fault_jiffies_caught_up", 0) > 0
+                  or wd_on.get("fault_ticks_lost", 0) == 0,
+                  f"lost={wd_on.get('fault_ticks_lost', 0)} "
+                  f"caught_up={wd_on.get('fault_jiffies_caught_up', 0)}")
+            check("billed time within the declared uncertainty of the "
+                  "oracle",
+                  errors["wd-on"] <= trust.uncertainty_s
+                  + max(2 * errors["clean"], 0.02),
+                  f"error={errors['wd-on']:.3f}s "
+                  f"bound={trust.uncertainty_s:.3f}s")
+        if args.intensity >= 0.05:
+            check("watchdog degrades trust under faults",
+                  not trust.is_trusted and trust.uncertainty_ns > 0,
+                  f"trust={trust.level.value} "
+                  f"uncertainty={trust.uncertainty_s:.3f}s")
+        if args.intensity >= 0.1:
+            check("heavy TSC drift marks the clocksource unstable",
+                  wd_on.get("watchdog_unstable", 0) == 1,
+                  f"unstable={wd_on.get('watchdog_unstable', 0)} "
+                  f"flagged_at_jiffy={wd_on.get('watchdog_flagged_at_jiffy')}")
 
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-
-    check("empty fault plan hashes identically to no plan",
-          spec_key(spec(None, "a")) == spec_key(spec({}, "b")),
-          "cache identity preserved for zero-fault runs")
-    if args.intensity > 0:
-        check("watchdog reduces metering error",
-              errors["wd-on"] < errors["wd-off"],
-              f"wd-on={errors['wd-on']:.3f}s wd-off={errors['wd-off']:.3f}s")
-        check("lost jiffies caught up by the watchdog",
-              wd_on.stats.get("fault_jiffies_caught_up", 0) > 0
-              or wd_on.stats.get("fault_ticks_lost", 0) == 0,
-              f"lost={wd_on.stats.get('fault_ticks_lost', 0)} "
-              f"caught_up={wd_on.stats.get('fault_jiffies_caught_up', 0)}")
-        check("billed time within the declared uncertainty of the oracle",
-              errors["wd-on"] <= trust.uncertainty_s
-              + max(2 * errors["clean"], 0.02),
-              f"error={errors['wd-on']:.3f}s "
-              f"bound={trust.uncertainty_s:.3f}s")
-    if args.intensity >= 0.05:
-        check("watchdog degrades trust under faults",
-              not trust.is_trusted and trust.uncertainty_ns > 0,
-              f"trust={trust.level.value} "
-              f"uncertainty={trust.uncertainty_s:.3f}s")
-    if args.intensity >= 0.1:
-        check("heavy TSC drift marks the clocksource unstable",
-              wd_on.stats.get("watchdog_unstable", 0) == 1,
-              f"unstable={wd_on.stats.get('watchdog_unstable', 0)} "
-              f"flagged_at_jiffy="
-              f"{wd_on.stats.get('watchdog_flagged_at_jiffy')}")
-
-    print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
-
-    if args.json:
-        doc = {
-            "command": "faults",
-            "program": args.program,
-            "intensity": args.intensity,
-            "scale": args.scale,
-            "plan": plan_on.to_dict(),
-            "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "errors_s": errors,
-            "trust": {
-                "level": trust.level.value,
-                "uncertainty_ns": trust.uncertainty_ns,
-                "intervals_trusted": trust.intervals_trusted,
-                "intervals_degraded": trust.intervals_degraded,
-                "intervals_untrusted": trust.intervals_untrusted,
-            },
-            "results": {spec_.name: res.to_dict()
-                        for spec_, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+    return _defense_scenario(
+        args, "faults", plan_on, sweep_plan(args.intensity, watchdog=False),
+        ("wd-on", "wd-off"),
+        ({}, "empty fault plan hashes identically to no plan",
+         "cache identity preserved for zero-fault runs"),
+        f"fault plan (intensity {args.intensity}): {plan_on.describe()}",
+        describe, plane_checks,
+        intensity=args.intensity, plan=plan_on.to_dict())
 
 
 def _cmd_timesync(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .analysis.figures import paper_workload_params
-    from .metering.billing import TrustReport, invoice_for
-    from .runner import ExperimentSpec
-    from .runner.specs import run_spec, spec_key
+    from .metering.billing import TrustReport
     from .timesync import sweep_timesync
 
-    _apply_invariants_flag(args)
-    check_invariants = True if args.check_invariants else None
-    program_kwargs = paper_workload_params(args.scale)[args.program]
     offset_ns = args.offset_ns
-
-    def spec(timesync, tag):
-        return ExperimentSpec(
-            program=args.program, program_kwargs=program_kwargs,
-            timesync=timesync, check_invariants=check_invariants,
-            label=f"timesync:{args.program}:{tag}")
-
     sync_on = sweep_timesync(offset_ns, defense=True,
                              protocol=args.protocol)
-    sync_off = sweep_timesync(offset_ns, defense=False,
-                              protocol=args.protocol)
-    specs = [spec(None, "clean"),
-             spec(sync_on.to_dict(), "defense-on"),
-             spec(sync_off.to_dict(), "defense-off")]
-    runner = _make_runner(args, quiet=True)
-    if runner is None:
-        results = [run_spec(s) for s in specs]
-    else:
-        results = runner.run_results(specs)
-    clean, def_on, def_off = results
 
-    print(f"sync attack (target offset {offset_ns}ns, "
-          f"{args.protocol}): {sync_on.describe()}")
-    errors = {}
-    for tag, res in zip(("clean", "defense-on", "defense-off"), results):
+    def describe(tag: str, res, err: float) -> None:
         skew_ns = res.stats.get("timesync_billed_skew_ns", 0)
-        err = abs(res.total_s + skew_ns / 1e9 - res.oracle_own_s())
-        errors[tag] = err
         print(f"{tag:<12} billed {res.total_s + skew_ns / 1e9:.6f}s "
               f"(oracle {res.oracle_own_s():.6f}s, error {err * 1e3:.3f}ms)")
         if "timesync_rounds" in res.stats:
@@ -570,22 +523,9 @@ def _cmd_timesync(args: argparse.Namespace) -> int:
                   f"{res.stats['timesync_degraded']}/"
                   f"{res.stats['timesync_untrusted']}")
 
-    trust = TrustReport.from_stats(def_on.stats)
-    invoice = invoice_for(args.program, def_on.usage, trust=trust)
-    print()
-    print(invoice.render())
-
-    checks = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-
-    check("inert timesync spec hashes identically to no spec",
-          spec_key(spec(None, "a"))
-          == spec_key(spec({"drift_ppb": 0}, "b")),
-          "cache identity preserved for sync-free runs")
-    if offset_ns > 0:
+    def plane_checks(check, errors, results, trust) -> None:
+        if offset_ns <= 0:
+            return
         check("defense reduces cross-host billing error",
               errors["defense-on"] < errors["defense-off"],
               f"on={errors['defense-on'] * 1e3:.3f}ms "
@@ -599,64 +539,31 @@ def _cmd_timesync(args: argparse.Namespace) -> int:
               not trust.is_trusted and trust.uncertainty_ns > 0,
               f"trust={trust.level.value} "
               f"uncertainty={trust.uncertainty_s * 1e3:.3f}ms")
-        off_trust = TrustReport.from_stats(def_off.stats)
+        off_trust = TrustReport.from_stats(results[2].stats)
         check("undefended run silently stays TRUSTED (the lie)",
               off_trust.is_trusted,
               f"defense-off trust={off_trust.level.value}")
 
-    print()
-    ok = True
-    for entry in checks:
-        status = "PASS" if entry["passed"] else "FAIL"
-        ok = ok and entry["passed"]
-        print(f"  [{status}] {entry['name']} ({entry['detail']})")
-
-    if args.json:
-        doc = {
-            "command": "timesync",
-            "program": args.program,
-            "offset_ns": offset_ns,
-            "protocol": args.protocol,
-            "scale": args.scale,
-            "spec": sync_on.to_dict(),
-            "check_invariants": bool(args.check_invariants),
-            "passed": ok,
-            "checks": checks,
-            "errors_s": errors,
-            "trust": {
-                "level": trust.level.value,
-                "uncertainty_ns": trust.uncertainty_ns,
-                "intervals_trusted": trust.intervals_trusted,
-                "intervals_degraded": trust.intervals_degraded,
-                "intervals_untrusted": trust.intervals_untrusted,
-            },
-            "results": {spec_.name: res.to_dict()
-                        for spec_, res in zip(specs, results)},
-        }
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    return 0 if ok else 1
+    return _defense_scenario(
+        args, "timesync", sync_on,
+        sweep_timesync(offset_ns, defense=False, protocol=args.protocol),
+        ("defense-on", "defense-off"),
+        ({"drift_ppb": 0}, "inert timesync spec hashes identically to no spec",
+         "cache identity preserved for sync-free runs"),
+        f"sync attack (target offset {offset_ns}ns, "
+        f"{args.protocol}): {sync_on.describe()}",
+        describe, plane_checks,
+        offset_ns=offset_ns, protocol=args.protocol, spec=sync_on.to_dict())
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     if args.selftest:
-        import json as _json
-
         from .serve import run_selftest
 
         print(f"repro serve selftest (store: {args.db}, "
               f"scale {args.scale}, {args.jobs} workers)")
-        report = run_selftest(args.db, scale=args.scale, jobs=args.jobs)
-        if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                _json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"\nwrote {args.json}")
-        n_ok = sum(1 for c in report["checks"] if c["passed"])
-        print(f"\n{n_ok}/{len(report['checks'])} checks passed")
-        return 0 if report["passed"] else 1
+        return _finish(run_selftest(args.db, scale=args.scale,
+                                    jobs=args.jobs), args.json)
 
     from .config import ServeConfig
     from .serve import serve_forever
@@ -669,9 +576,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
-    import json as _json
     import time as _time
 
+    from .analysis.scenario import write_report
     from .fleet import FleetSpec, run_fleet
     from .runner import ConsoleProgress, ResultCache
 
@@ -758,17 +665,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                       f"FAILED: {entry['error']}")
 
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
+        write_report(args.json, report)
     ok = report["failed_runs"] == 0 and (
         coverage is None or coverage["grade"] != "PARTIAL")
     return 0 if ok else 1
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    import json as _json
     import tempfile
 
     from .chaos.gauntlet import run_gauntlet
@@ -776,17 +679,9 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     db_dir = args.db_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     print(f"repro chaos gauntlet (intensity {args.intensity}, "
           f"{args.shards} shards, stores in {db_dir})")
-    report = run_gauntlet(db_dir, intensity=args.intensity,
-                          shards=args.shards, seed=args.seed,
-                          quick=args.quick)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            _json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"\nwrote {args.json}")
-    n_ok = sum(1 for c in report["checks"] if c["passed"])
-    print(f"\n{n_ok}/{len(report['checks'])} checks passed")
-    return 0 if report["passed"] else 1
+    return _finish(run_gauntlet(db_dir, intensity=args.intensity,
+                                shards=args.shards, seed=args.seed,
+                                quick=args.quick), args.json)
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> int:
@@ -840,7 +735,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         stamp = _time.strftime("%Y%m%d_%H%M%S", _time.gmtime())
         path = f"BENCH_{stamp}.json"
     doc = write_report(path, results, quick=args.quick)
-    print(f"\nwrote {path}")
 
     if args.baseline:
         baseline = load_report(args.baseline)

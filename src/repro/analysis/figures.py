@@ -18,6 +18,7 @@ from ..programs.base import Program
 from ..programs.workloads import make_paper_program, watched_variable
 from ..runner import BatchRunner, ExperimentSpec, run_spec
 from .experiment import ExperimentResult
+from .scenario import Check, CheckList
 
 #: The injected payload for the launch-time attacks: the scaled analogue of
 #: the paper's ~34-second loop (~0.34 s at 2.53 GHz).
@@ -90,15 +91,6 @@ class Bar:
 
 
 @dataclass
-class Check:
-    """One shape assertion, with its observed evidence."""
-
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass
 class FigureResult:
     """A regenerated figure: bars/series plus shape checks."""
 
@@ -108,13 +100,13 @@ class FigureResult:
     pairs: Dict[str, Tuple[Bar, Bar]] = field(default_factory=dict)
     #: For the sweep figures: label → (victim bar, attacker bar).
     series: List[Tuple[str, Bar, Bar]] = field(default_factory=list)
-    checks: List[Check] = field(default_factory=list)
+    checks: CheckList = field(default_factory=CheckList)
     meta: Dict[str, object] = field(default_factory=dict)
     results: Dict[str, ExperimentResult] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return self.checks.passed
 
     def failed_checks(self) -> List[Check]:
         return [c for c in self.checks if not c.passed]

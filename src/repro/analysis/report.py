@@ -58,11 +58,8 @@ def series_chart(fig: FigureResult, width: int = 46) -> str:
 
 
 def checks_report(fig: FigureResult) -> str:
-    lines = [f"checks for {fig.fig_id}:"]
-    for check in fig.checks:
-        status = "PASS" if check.passed else "FAIL"
-        lines.append(f"  [{status}] {check.name} — {check.detail}")
-    return "\n".join(lines)
+    return "\n".join([f"checks for {fig.fig_id}:"]
+                     + [check.render() for check in fig.checks])
 
 
 def figure_report(fig: FigureResult, width: int = 46) -> str:

@@ -27,11 +27,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from ..analysis import scenario
+
 BENCH_SCHEMA = "repro-bench-v1"
 
 #: Default regression tolerance: a benchmark must be >35% slower than the
 #: baseline before it is reported.
 DEFAULT_TOLERANCE = 0.35
+
+#: The wall clock every benchmark is timed with (tests substitute a
+#: deterministic one).
+clock = time.perf_counter
 
 
 @dataclass
@@ -77,9 +83,9 @@ def run_spec(spec: BenchSpec) -> BenchResult:
     """Time one benchmark (a single warm-free shot — cold costs are part
     of what the e2e benches measure, and the micro benches amortise any
     setup inside ``fn`` over their op count)."""
-    start = time.perf_counter()
+    start = clock()
     spec.fn(spec.ops)
-    wall = time.perf_counter() - start
+    wall = clock() - start
     return BenchResult(name=spec.name, kind=spec.kind, ops=spec.ops,
                        wall_s=wall, note=spec.note)
 
@@ -140,8 +146,7 @@ def build_report(results: Sequence[BenchResult],
 def write_report(path: Union[str, Path], results: Sequence[BenchResult],
                  quick: bool = False) -> Dict[str, Any]:
     doc = build_report(results, quick=quick)
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    scenario.write_report(path, doc)
     return doc
 
 

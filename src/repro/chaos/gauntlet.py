@@ -29,6 +29,7 @@ import socket
 import threading
 from typing import Any, Dict, List, Optional
 
+from ..analysis.scenario import CheckList
 from ..fleet import FleetSpec, fleet_key, run_fleet
 from ..fleet.shard import ShardClient, ShardOutcome, merged_report, \
     shard_fleet_local, shard_ranges
@@ -91,13 +92,8 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
                  quiet: bool = False) -> Dict[str, Any]:
     """Run the full gauntlet; return the report doc (``passed``,
     ``checks``, the plan, coverage and injected-fault counts)."""
-    checks: List[Dict[str, Any]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-        if not quiet:
-            print(f"  [{'PASS' if passed else 'FAIL'}] {name} ({detail})")
+    checks = CheckList(echo=not quiet)
+    check = checks.check
 
     os.makedirs(db_dir, exist_ok=True)
     fleet = FleetSpec(**(QUICK_FLEET if quick else FULL_FLEET))
@@ -219,15 +215,14 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
           f"grade={local_coverage['grade']}, "
           f"{len(_canon(serial_stats))} bytes compared")
 
-    passed = all(entry["passed"] for entry in checks)
     return {
         "command": "chaos",
         "quick": quick,
         "intensity": intensity,
         "shards": shards,
         "plan": plan.to_dict(),
-        "passed": passed,
-        "checks": checks,
+        "passed": checks.passed,
+        "checks": checks.to_list(),
         "coverage": report["coverage"],
         "injected": injected,
     }

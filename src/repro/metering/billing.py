@@ -9,7 +9,7 @@ an invoice is only as trustworthy as the metering underneath it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from ..config import NS_PER_SEC
 from ..errors import ConfigError
@@ -143,6 +143,16 @@ class TrustReport:
     @property
     def is_trusted(self) -> bool:
         return self.level is TrustLevel.TRUSTED
+
+    def to_dict(self) -> Dict[str, Any]:
+        """The wire form (``/trust``, invoices, CLI reports)."""
+        return {
+            "level": self.level.value,
+            "uncertainty_ns": self.uncertainty_ns,
+            "intervals_trusted": self.intervals_trusted,
+            "intervals_degraded": self.intervals_degraded,
+            "intervals_untrusted": self.intervals_untrusted,
+        }
 
     def worse_than(self, other: "TrustReport") -> bool:
         return TRUST_SEVERITY[self.level] > TRUST_SEVERITY[other.level]

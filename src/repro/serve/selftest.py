@@ -26,8 +26,9 @@ import json
 import time
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
+from ..analysis.scenario import CheckList
 from .api import ReproServer
 from .service import MeteringService
 from .store import UsageStore
@@ -95,13 +96,8 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
     (``passed``, ``checks``, endpoint samples)."""
     from ..analysis.figures import paper_workload_params
 
-    checks: List[Dict[str, Any]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append({"name": name, "passed": bool(passed),
-                       "detail": detail})
-        if not quiet:
-            print(f"  [{'PASS' if passed else 'FAIL'}] {name} ({detail})")
+    checks = CheckList(echo=not quiet)
+    check = checks.check
 
     params = dict(paper_workload_params(scale)["W"])
     honest_spec = {"program": "W", "program_kwargs": params,
@@ -259,13 +255,12 @@ def run_selftest(db: str, scale: float = 0.1, jobs: int = 2,
     finally:
         server.close()
 
-    passed = all(entry["passed"] for entry in checks)
     return {
         "command": "serve-selftest",
         "db": db,
         "scale": scale,
         "jobs": jobs,
-        "passed": passed,
-        "checks": checks,
-        "metrics": metrics_text if passed else None,
+        "passed": checks.passed,
+        "checks": checks.to_list(),
+        "metrics": metrics_text if checks.passed else None,
     }

@@ -66,16 +66,6 @@ class Conflict(ServiceError):
     status = 409
 
 
-def _trust_doc(trust: TrustReport) -> Dict[str, Any]:
-    return {
-        "level": trust.level.value,
-        "uncertainty_ns": trust.uncertainty_ns,
-        "intervals_trusted": trust.intervals_trusted,
-        "intervals_degraded": trust.intervals_degraded,
-        "intervals_untrusted": trust.intervals_untrusted,
-    }
-
-
 def spec_doc_name(spec_doc: Dict[str, Any]) -> str:
     """Mirror of :attr:`~repro.runner.specs.ExperimentSpec.name` on the
     wire-format document (used for invoice job names, so an invoice is a
@@ -112,7 +102,7 @@ def invoice_doc_for(job_name: str, result_doc: Dict[str, Any],
         "billed_ns": billed_ns,
         "billable_bounds_ns": [low, high],
         "amount_microdollars": plan.cost_microdollars(billed_ns),
-        "trust": _trust_doc(trust),
+        "trust": trust.to_dict(),
     }
 
 
@@ -488,7 +478,7 @@ class MeteringService:
     def trust_doc(self, job_id: str) -> Dict[str, Any]:
         job = self._completed_job(job_id)
         trust = TrustReport.from_stats(job["result"].get("stats", {}))
-        doc = _trust_doc(trust)
+        doc = trust.to_dict()
         doc["schema"] = TRUST_SCHEMA
         doc["job_id"] = job_id
         return doc

@@ -1,5 +1,6 @@
 """Benchmark harness: suite shape, report schema, baseline comparison."""
 
+import itertools
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from repro.bench import (
     run_suite,
     write_report,
 )
+from repro.bench import harness
 from repro.bench.e2e import e2e_benchmarks
 from repro.bench.harness import BenchResult, BenchSpec, run_spec
 from repro.bench.micro import micro_benchmarks
@@ -101,9 +103,13 @@ class TestReport:
 
 class TestCli:
     def test_bench_command_writes_report_and_compares(self, tmp_path,
-                                                      capsys):
+                                                      capsys, monkeypatch):
         from repro.__main__ import main
 
+        # A fake clock on which every benchmark takes exactly one second,
+        # so the comparison logic is tested, not this machine's speed.
+        ticks = itertools.count()
+        monkeypatch.setattr(harness, "clock", lambda: float(next(ticks)))
         report = tmp_path / "bench.json"
         assert main(["bench", "--quick", "--only", "trace",
                      "--json", str(report)]) == 0

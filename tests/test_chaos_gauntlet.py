@@ -11,6 +11,23 @@ import json
 
 from repro.chaos.gauntlet import run_gauntlet
 
+#: The ordered check names of the quick three-shard gauntlet.
+CHECK_NAMES = [
+    "every live shard completes under chaos",
+    "the dark shard fails within its bounded budget",
+    "faults were actually injected",
+    "client absorbed faults on the way",
+    "report declares the coverage gap",
+    "coverage arithmetic verifies",
+    "shard 0 store: no double billing",
+    "shard 1 store: no double billing",
+    "shard 0 state bit-identical to chaos-free run",
+    "shard 1 state bit-identical to chaos-free run",
+    "empty plan normalises to None (identity path)",
+    "unsharded fleet key unchanged by the sharding plumbing",
+    "fully-covered sharded statistics byte-identical to serial",
+]
+
 
 def test_quick_gauntlet_passes_every_check(tmp_path):
     report = run_gauntlet(str(tmp_path / "dbs"), intensity=0.4, shards=3,
@@ -22,7 +39,10 @@ def test_quick_gauntlet_passes_every_check(tmp_path):
 
     # The report document is JSON-serialisable and self-describing.
     doc = json.loads(json.dumps(report, sort_keys=True))
+    assert set(doc) == {"checks", "command", "coverage", "injected",
+                        "intensity", "passed", "plan", "quick", "shards"}
     assert doc["command"] == "chaos"
+    assert [c["name"] for c in doc["checks"]] == CHECK_NAMES
     assert doc["quick"] is True
     assert doc["shards"] == 3
     assert doc["plan"]["down_shards"] == [2]

@@ -119,6 +119,77 @@ class TestServeParser:
         assert args.json == "r.json"
 
 
+#: The ``--json`` report contract: argv, top-level keys, ``command`` and
+#: the ordered check names.
+REPORT_CONTRACTS = {
+    "faults": (
+        ["faults", "--intensity", "0.2", "--scale", "0.05"],
+        {"check_invariants", "checks", "command", "errors_s", "intensity",
+         "passed", "plan", "program", "results", "scale", "trust"},
+        "faults",
+        ["empty fault plan hashes identically to no plan",
+         "watchdog reduces metering error",
+         "lost jiffies caught up by the watchdog",
+         "billed time within the declared uncertainty of the oracle",
+         "watchdog degrades trust under faults",
+         "heavy TSC drift marks the clocksource unstable"]),
+    "timesync": (
+        ["timesync", "--offset-ns", "5000000", "--scale", "0.05"],
+        {"check_invariants", "checks", "command", "errors_s", "offset_ns",
+         "passed", "program", "protocol", "results", "scale", "spec",
+         "trust"},
+        "timesync",
+        ["inert timesync spec hashes identically to no spec",
+         "defense reduces cross-host billing error",
+         "defended residual within the declared uncertainty",
+         "estimator degrades trust under the sync attack",
+         "undefended run silently stays TRUSTED (the lie)"]),
+    "serve": (
+        ["serve", "--selftest", "--scale", "0.05", "--db", "usage.db"],
+        {"checks", "command", "db", "jobs", "metrics", "passed", "scale"},
+        "serve-selftest",
+        ["healthz answers",
+         "unknown plan rejected",
+         "honest job completes synchronously",
+         "honest tenant's audit is consistent",
+         "async submit returns immediately with a pollable job",
+         "attacker job completes",
+         "scheduling attack flagged by the tenant audit",
+         "attack inflates the victim's bill",
+         "idempotency key dedups the resubmission",
+         "resubmitted spec served from the ledger, not re-run",
+         "ledger-served invoice byte-identical to the original",
+         "capped tenant's first job runs (budget not yet consumed)",
+         "over-budget submission rejected with 429",
+         "over-budget submission can queue instead",
+         "queued job released by the quota raise",
+         "usage ledger sums to the reported total",
+         "store integrity + conservation law hold",
+         "unknown job is a 404",
+         "malformed spec is a 400",
+         "/metrics exposes the expected series",
+         "metrics job counts agree with the store"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CONTRACTS))
+def test_json_report_contract(case, tmp_path, monkeypatch, capsys):
+    import json
+
+    argv, keys, command, names = REPORT_CONTRACTS[case]
+    monkeypatch.chdir(tmp_path)
+    rc = main(argv + ["--json", "report.json"])
+    out = capsys.readouterr().out
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert set(doc) == keys
+    assert doc["command"] == command
+    assert [c["name"] for c in doc["checks"]] == names
+    assert rc == (0 if doc["passed"] else 1)
+    assert "wrote report.json" in out
+    assert (f"{sum(c['passed'] for c in doc['checks'])}/{len(names)} "
+            f"checks passed") in out
+
+
 class TestExitCodes:
     """The CI contract: every self-checking command exits non-zero the
     moment an internal check fails — for the pass AND fail paths."""
@@ -179,10 +250,10 @@ class TestExitCodes:
         # and the command must say so with its exit code.
         import dataclasses
 
-        import repro.runner.specs as specs_mod
+        import repro.analysis.figures as figures_mod
         from repro.faults import sweep_plan
 
-        real_run_spec = specs_mod.run_spec
+        real_run_spec = figures_mod.run_spec
 
         def sabotaged(spec):
             if spec.label.endswith("wd-on"):
@@ -191,7 +262,7 @@ class TestExitCodes:
                     faults=sweep_plan(0.2, watchdog=False).to_dict())
             return real_run_spec(spec)
 
-        monkeypatch.setattr(specs_mod, "run_spec", sabotaged)
+        monkeypatch.setattr(figures_mod, "run_spec", sabotaged)
         assert main(["faults", "--intensity", "0.2",
                      "--scale", "0.05"]) == 1
         assert "[FAIL]" in capsys.readouterr().out

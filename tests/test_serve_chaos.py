@@ -82,6 +82,7 @@ class TestBusyTimeout:
         finally:
             holder.kill()
             holder.wait()
+            holder.stdout.close()
             store.close()
 
     def test_default_timeout_rides_out_the_contention(self, tmp_path):
@@ -94,6 +95,7 @@ class TestBusyTimeout:
             assert store.tenants()[0]["tenant_id"] == tenant["tenant_id"]
         finally:
             holder.wait(timeout=10)
+            holder.stdout.close()
             store.close()
 
 

@@ -158,6 +158,9 @@ class TestVmFigure:
         assert len(fig.series) == 5  # baseline + 4 burn fractions
 
 
+CONSERVATION = "per-vCPU conservation ran+idle+steal == host wall"
+
+
 class TestVmCli:
     def test_parse(self):
         from repro.__main__ import build_parser
@@ -180,6 +183,25 @@ class TestVmCli:
         assert doc["attack"] == "vm-sched"
         assert doc["audit"]["verdict"] in ("overbilled", "consistent")
         assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("attack, names", [
+        ("sched", [CONSERVATION, CONSERVATION,
+                   "co-resident victim's bill inflates",
+                   "attacker billed ~nothing",
+                   "guest steal estimate within 5% of reported"]),
+        ("none", [CONSERVATION]),
+    ], ids=["sched", "none"])
+    def test_json_report_contract(self, tmp_path, capsys, attack, names):
+        out = tmp_path / "vm-report.json"
+        main(["vm", "--attack", attack, "--scale", "0.1",
+              "--json", str(out)])
+        capsys.readouterr()
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"attack", "audit", "burn_fraction",
+                            "check_invariants", "checks", "command",
+                            "passed", "program", "results", "scale"}
+        assert doc["command"] == "vm"
+        assert [c["name"] for c in doc["checks"]] == names
 
     def test_no_attack_mode(self, capsys):
         rc = main(["vm", "--attack", "none", "--scale", "0.1"])
