@@ -419,7 +419,8 @@ def _bench_fleet_expand(quick: bool) -> BenchSpec:
                                  seed=7, scale=0.05))
 
     return BenchSpec(name="fleet.expand", kind="micro", ops=hosts, fn=fn,
-                     note="one host drawn, spec-built and deduped per op "
+                     note="one host drawn and deduped per op; each "
+                          "distinct draw spec-built and hashed once "
                           "(no experiments run)")
 
 

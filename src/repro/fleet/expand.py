@@ -13,13 +13,21 @@ expansion stream into (unit, multiplicity) groups keyed by
 10k-host sweep tractable: run each distinct identity once, weight its
 contribution by how many guests drew it.  Peak memory is bounded by the
 mix cross-product, never by the host count.
+
+Identity costs O(distinct draws), not O(slots): a slot's spec is a pure
+function of its :class:`Draw` (plus fleet-wide constants), so
+:func:`distinct_units` makes only the draw per slot and builds and
+hashes a spec once per distinct draw.  What remains per host is seeding
+its RNG stream and drawing from it.
 """
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from ..errors import ReproError
 from ..runner.specs import ExperimentSpec, spec_key
@@ -99,6 +107,106 @@ def _sync_active(fleet: FleetSpec) -> bool:
                for offset, weight in fleet.sync_mix)
 
 
+class Draw(NamedTuple):
+    """Everything one guest slot draws that reaches its spec.
+
+    Together with the fleet-wide constants bound by :func:`_spec_builder`
+    a draw fixes the slot's spec up to the cosmetic label, so equal draws
+    share one spec identity and need hashing only once.  Draws that
+    cannot reach the spec are pinned (``nproc`` 1 on hypervisor hosts,
+    ``burn`` 0.0 unless an attacked hypervisor host), so distinct draws
+    track distinct identities.
+    """
+
+    kind: str
+    workload: str
+    attacked: bool
+    nproc: int
+    intensity: float
+    burn: float
+    sync_offset_ns: int
+
+
+def _walk(fleet: FleetSpec, host_range: Optional[Tuple[int, int]]
+          ) -> Iterator[Tuple[int, int, Draw]]:
+    """(host, guest, draw) for every slot of ``host_range``, in order."""
+    sync_active = _sync_active(fleet)
+    host_range = check_host_range(fleet, host_range)
+    lo, hi = host_range if host_range is not None else (0, fleet.hosts)
+    for host in range(lo, hi):
+        rng = _host_rng(fleet, host)
+        attacked = rng.random() < fleet.prevalence
+        kind = "vm" if rng.random() < fleet.vm_fraction else "bare"
+        nproc = _draw(rng, fleet.nproc_mix)
+        intensity = float(_draw(rng, fleet.fault_mix))
+        burn = float(_draw(rng, fleet.burn_mix))
+        # Pin what cannot reach the spec, so equal specs come from equal
+        # draws: a hypervisor host runs on one pCPU, and only an attacked
+        # hypervisor host burns ticks.
+        if kind == "vm":
+            nproc = 1
+        if kind != "vm" or not attacked:
+            burn = 0.0
+        sync_offset = 0
+        if sync_active and kind == "bare":
+            sync_rng = random.Random(f"fleet:{fleet.seed}:host:{host}:sync")
+            sync_offset = int(_draw(sync_rng, fleet.sync_mix))
+        for guest in range(fleet.guests):
+            workload = _draw(rng, fleet.workload_mix)
+            yield host, guest, Draw(kind, workload, attacked, nproc,
+                                    intensity, burn, sync_offset)
+
+
+def _spec_builder(fleet: FleetSpec) -> Callable[[Draw, str], ExperimentSpec]:
+    """Bind the fleet-wide constants and return the slot-spec function:
+    a pure function of a slot's :class:`Draw` and its label.  Fault-plan
+    and time-plane documents are pure functions of the drawn value, so
+    each is built once per value and shared by every slot that drew it."""
+    from ..analysis.figures import paper_workload_params
+    from ..faults import sweep_plan
+    from ..timesync import sweep_timesync
+
+    workload_params = paper_workload_params(fleet.scale)
+    forks = max(1, int(BARE_ATTACK_FORKS * fleet.scale))
+
+    @functools.lru_cache(maxsize=None)
+    def fault_doc(intensity: float) -> Optional[Dict[str, Any]]:
+        return (sweep_plan(intensity, watchdog=True).to_dict()
+                if intensity > 0 else None)
+
+    @functools.lru_cache(maxsize=None)
+    def sync_doc(offset: int) -> Optional[Dict[str, Any]]:
+        return sweep_timesync(offset).to_dict() if offset > 0 else None
+
+    def build(draw: Draw, label: str) -> ExperimentSpec:
+        kwargs = dict(workload_params[draw.workload])
+        faults = fault_doc(draw.intensity)
+        if draw.kind == "vm":
+            return ExperimentSpec(
+                program=draw.workload, program_kwargs=kwargs,
+                attack="vm-sched" if draw.attacked else None,
+                attack_kwargs=({"burn_fraction": draw.burn}
+                               if draw.attacked else {}),
+                vm={}, faults=faults, label=label)
+        return ExperimentSpec(
+            program=draw.workload, program_kwargs=kwargs,
+            attack=BARE_ATTACK if draw.attacked else None,
+            attack_kwargs=({"nice": BARE_ATTACK_NICE, "forks": forks}
+                           if draw.attacked else {}),
+            nproc=draw.nproc, faults=faults,
+            timesync=sync_doc(draw.sync_offset_ns), label=label)
+
+    return build
+
+
+def _unit(host: int, guest: int, draw: Draw,
+          spec: ExperimentSpec) -> FleetUnit:
+    return FleetUnit(host=host, guest=guest, kind=draw.kind,
+                     workload=draw.workload, attacked=draw.attacked,
+                     intensity=draw.intensity, spec=spec,
+                     sync_offset_ns=draw.sync_offset_ns)
+
+
 def expand_fleet(fleet: FleetSpec,
                  host_range: Optional[Tuple[int, int]] = None
                  ) -> Iterator[FleetUnit]:
@@ -119,56 +227,13 @@ def expand_fleet(fleet: FleetSpec,
     sync-attacked* without reshuffling who is attacked, what anyone
     runs, or any all-zero-mix population.
     """
-    from ..analysis.figures import paper_workload_params
-    from ..faults import sweep_plan
-    from ..timesync import sweep_timesync
-
-    workload_params = paper_workload_params(fleet.scale)
-    forks = max(1, int(BARE_ATTACK_FORKS * fleet.scale))
-    sync_active = _sync_active(fleet)
-    host_range = check_host_range(fleet, host_range)
-    lo, hi = host_range if host_range is not None else (0, fleet.hosts)
-
-    for host in range(lo, hi):
-        rng = _host_rng(fleet, host)
-        attacked = rng.random() < fleet.prevalence
-        kind = "vm" if rng.random() < fleet.vm_fraction else "bare"
-        nproc = _draw(rng, fleet.nproc_mix)
-        intensity = float(_draw(rng, fleet.fault_mix))
-        burn = float(_draw(rng, fleet.burn_mix))
-        faults = (sweep_plan(intensity, watchdog=True).to_dict()
-                  if intensity > 0 else None)
-        sync_offset = 0
-        if sync_active and kind == "bare":
-            sync_rng = random.Random(f"fleet:{fleet.seed}:host:{host}:sync")
-            sync_offset = int(_draw(sync_rng, fleet.sync_mix))
-        timesync = (sweep_timesync(sync_offset).to_dict()
-                    if sync_offset > 0 else None)
-        for guest in range(fleet.guests):
-            workload = _draw(rng, fleet.workload_mix)
-            kwargs = dict(workload_params[workload])
-            label = (f"fleet:h{host}:g{guest}:{kind}:{workload}"
-                     f"{':attacked' if attacked else ''}"
-                     f"{f':sync={sync_offset}' if sync_offset else ''}")
-            if kind == "vm":
-                spec = ExperimentSpec(
-                    program=workload, program_kwargs=kwargs,
-                    attack="vm-sched" if attacked else None,
-                    attack_kwargs=({"burn_fraction": burn}
-                                   if attacked else {}),
-                    vm={}, faults=faults, label=label)
-            else:
-                spec = ExperimentSpec(
-                    program=workload, program_kwargs=kwargs,
-                    attack=BARE_ATTACK if attacked else None,
-                    attack_kwargs=({"nice": BARE_ATTACK_NICE,
-                                    "forks": forks} if attacked else {}),
-                    nproc=nproc, faults=faults, timesync=timesync,
-                    label=label)
-            yield FleetUnit(host=host, guest=guest, kind=kind,
-                            workload=workload, attacked=attacked,
-                            intensity=intensity, spec=spec,
-                            sync_offset_ns=sync_offset)
+    build = _spec_builder(fleet)
+    for host, guest, draw in _walk(fleet, host_range):
+        sync = draw.sync_offset_ns
+        label = (f"fleet:h{host}:g{guest}:{draw.kind}:{draw.workload}"
+                 f"{':attacked' if draw.attacked else ''}"
+                 f"{f':sync={sync}' if sync else ''}")
+        yield _unit(host, guest, draw, build(draw, label))
 
 
 @dataclass(frozen=True)
@@ -185,30 +250,36 @@ def distinct_units(fleet: FleetSpec,
                    ) -> List[UnitGroup]:
     """Fold the expansion stream into distinct-identity groups.
 
-    First-seen order, so the downstream run/aggregate order is a pure
-    function of the fleet spec (and host range, when sharded).  The
-    representative keeps the first unit's host/guest coordinates; its
-    label is rewritten to carry the group's weight instead, since it now
-    stands for many slots.
+    Equal to grouping every unit of :func:`expand_fleet` by ``spec_key``,
+    but each distinct draw is built and hashed once: per slot only the
+    draw itself is made.  First-seen order, so the downstream
+    run/aggregate order is a pure function of the fleet spec (and host
+    range, when sharded).  The representative keeps the first unit's
+    host/guest coordinates; its label is rewritten to carry the group's
+    weight instead, since it now stands for many slots.
     """
-    groups: Dict[str, List[Any]] = {}
-    order: List[str] = []
-    for unit in expand_fleet(fleet, host_range=host_range):
-        key = spec_key(unit.spec)
-        entry = groups.get(key)
-        if entry is None:
-            groups[key] = [unit, 1]
-            order.append(key)
+    build = _spec_builder(fleet)
+    keys: Dict[Draw, str] = {}
+    first: Dict[str, Tuple[int, int, Draw]] = {}
+    weights: Dict[str, int] = {}
+    for host, guest, draw in _walk(fleet, host_range):
+        key = keys.get(draw)
+        if key is None:
+            key = keys[draw] = spec_key(build(draw, ""))
+        if key in weights:
+            weights[key] += 1
         else:
-            entry[1] += 1
+            weights[key] = 1
+            first[key] = (host, guest, draw)
     result: List[UnitGroup] = []
-    for key in order:
-        unit, weight = groups[key]
-        label = (f"fleet:{unit.kind}:{unit.workload}"
-                 f"{':attacked' if unit.attacked else ''}"
-                 f"{f':i={unit.intensity}' if unit.intensity else ''}"
-                 f"{f':sync={unit.sync_offset_ns}' if unit.sync_offset_ns else ''}"
+    for key, (host, guest, draw) in first.items():
+        weight, sync = weights[key], draw.sync_offset_ns
+        label = (f"fleet:{draw.kind}:{draw.workload}"
+                 f"{':attacked' if draw.attacked else ''}"
+                 f"{f':i={draw.intensity}' if draw.intensity else ''}"
+                 f"{f':sync={sync}' if sync else ''}"
                  f":x{weight}")
-        unit = replace(unit, spec=replace(unit.spec, label=label))
-        result.append(UnitGroup(key=key, unit=unit, weight=weight))
+        result.append(UnitGroup(key=key, weight=weight,
+                                unit=_unit(host, guest, draw,
+                                           build(draw, label))))
     return result

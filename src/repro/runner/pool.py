@@ -18,8 +18,12 @@ elsewhere), at full sub-second resolution, so a hung point turns into an
 ordinary failure instead of a leaked worker.
 
 A worker that dies outright (OOM kill, segfault, ``os._exit``) breaks the
-whole ``ProcessPoolExecutor``; the runner converts every in-flight point
-into a failure-or-retry, replaces the executor, and the sweep continues.
+whole ``ProcessPoolExecutor``.  The runner keeps at most one point per
+worker in flight, so only running points fail with it; it replaces the
+executor, re-runs each of them alone in a single-worker quarantine pool,
+and charges an attempt only to a point that breaks a pool by itself — so
+one worker-killer cannot spend the retry budget of the points it shared
+the pool with.  The sweep continues.
 """
 
 from __future__ import annotations
@@ -269,54 +273,115 @@ class BatchRunner:
         executor = ProcessPoolExecutor(max_workers=self.jobs)
         try:
             while queue or pending:
-                for index in queue:
+                # At most one point per worker in flight: a broken pool
+                # fails every pending future, and only the points that
+                # were running can have killed it.
+                while queue and len(pending) < self.jobs:
+                    try:
+                        future = executor.submit(_execute_spec,
+                                                 specs[queue[0]],
+                                                 self.timeout_s)
+                    except BrokenExecutor:
+                        # A worker died since the last wait.  The points
+                        # in flight carry the breakage into the fold
+                        # below; with none in flight, replace the pool.
+                        if pending:
+                            break
+                        executor.shutdown(wait=False)
+                        executor = ProcessPoolExecutor(max_workers=self.jobs)
+                        continue
+                    index = queue.pop(0)
                     attempts[index] += 1
                     emit(ProgressEvent(STARTED, index, total,
                                        specs[index].name,
                                        attempt=attempts[index]))
-                    pending[executor.submit(_execute_spec, specs[index],
-                                            self.timeout_s)] = index
-                queue = []
+                    pending[future] = index
                 done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                broken = False
+                # Points in flight when a worker died outright (OOM kill,
+                # segfault, os._exit), with their breakage payloads.
+                suspects: Dict[int, Tuple[str, object, float]] = {}
                 for future in done:
                     index = pending.pop(future)
-                    try:
-                        payload = future.result()
-                    except BrokenExecutor as exc:
-                        # A worker died outright (OOM kill, segfault,
-                        # os._exit): the whole pool is unusable from here.
-                        broken = True
-                        payload = self._broken_payload(exc)
-                    except Exception as exc:
-                        # The future itself raised — an unpicklable result
-                        # or argument, most commonly.  Same bounded
-                        # retry-or-failure fold as every other error: the
-                        # point charges its attempt and retries until the
-                        # budget runs out.
-                        payload = self._error_payload(exc)
-                    if self._finish(outcomes, index, total, payload,
-                                    attempts[index], emit):
+                    payload, broken = self._collect(future)
+                    if broken:
+                        suspects[index] = payload
+                    elif self._finish(outcomes, index, total, payload,
+                                      attempts[index], emit):
                         queue.append(index)
-                if broken:
-                    # Every other in-flight future fails with the same
-                    # breakage; fold each into a retry-or-failure, then
-                    # replace the executor so the sweep keeps going.
-                    for future, index in list(pending.items()):
-                        try:
-                            payload = future.result(timeout=5.0)
-                        except BrokenExecutor as exc:
-                            payload = self._broken_payload(exc)
-                        except Exception as exc:
-                            payload = self._error_payload(exc)
-                        if self._finish(outcomes, index, total, payload,
-                                        attempts[index], emit):
+                if suspects:
+                    # The pool is unusable from here: every other
+                    # in-flight future fails with the same breakage.
+                    for future, index in pending.items():
+                        payload, broken = self._collect(future, timeout=5.0)
+                        if broken:
+                            suspects[index] = payload
+                        elif self._finish(outcomes, index, total, payload,
+                                          attempts[index], emit):
                             queue.append(index)
                     pending = {}
                     executor.shutdown(wait=False)
                     executor = ProcessPoolExecutor(max_workers=self.jobs)
+                    self._quarantine(specs, suspects, attempts, outcomes,
+                                     total, emit)
         finally:
             executor.shutdown(wait=False)
+
+    def _quarantine(self, specs, suspects, attempts, outcomes, total,
+                    emit) -> None:
+        """Find which of a broken pool's ``suspects`` killed it.
+
+        Only a point that breaks a pool by itself is charged an attempt:
+        a lone suspect already did; otherwise each suspect re-runs the
+        same attempt alone in a single-worker pool, and the ones that
+        break it are the culprits.  The others keep that re-run's
+        outcome uncharged, so a persistent worker-killer cannot spend
+        the retry budget of innocent points that shared its pool.  A
+        culprit's retries stay in quarantine.  If no suspect breaks its
+        pool again (a one-off crash), the culprit cannot be told apart:
+        every suspect is charged and its re-run counts as its retry.
+        """
+        if len(suspects) == 1:
+            runs = {index: (payload, True)
+                    for index, payload in suspects.items()}
+        else:
+            runs = {index: self._run_alone(specs[index])
+                    for index in suspects}
+        reproduced = any(broken for _, broken in runs.values())
+        for index, (payload, _) in runs.items():
+            if not reproduced:
+                if not self._finish(outcomes, index, total, suspects[index],
+                                    attempts[index], emit):
+                    continue
+                attempts[index] += 1
+                emit(ProgressEvent(STARTED, index, total, specs[index].name,
+                                   attempt=attempts[index]))
+            while self._finish(outcomes, index, total, payload,
+                               attempts[index], emit):
+                attempts[index] += 1
+                emit(ProgressEvent(STARTED, index, total, specs[index].name,
+                                   attempt=attempts[index]))
+                payload, _ = self._run_alone(specs[index])
+
+    def _run_alone(self, spec: ExperimentSpec
+                   ) -> Tuple[Tuple[str, object, float], bool]:
+        with ProcessPoolExecutor(max_workers=1) as executor:
+            return self._collect(executor.submit(_execute_spec, spec,
+                                                 self.timeout_s))
+
+    @classmethod
+    def _collect(cls, future, timeout: Optional[float] = None
+                 ) -> Tuple[Tuple[str, object, float], bool]:
+        """A finished future's payload, and whether its pool broke."""
+        try:
+            return future.result(timeout=timeout), False
+        except BrokenExecutor as exc:
+            return cls._broken_payload(exc), True
+        except Exception as exc:
+            # The future itself raised — an unpicklable result or
+            # argument, most commonly.  Same bounded retry-or-failure fold
+            # as every other error: the point charges its attempt and
+            # retries until the budget runs out.
+            return cls._error_payload(exc), False
 
     @staticmethod
     def _broken_payload(exc: BaseException) -> Tuple[str, object, float]:

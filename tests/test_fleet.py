@@ -10,6 +10,7 @@ are merged.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.fleet import (
     fleet_key,
     run_fleet,
 )
+from repro.runner import spec_key
 
 #: Small enough for CI, large enough to populate every mix stratum.
 SMALL = dict(hosts=10, guests=2, prevalence=0.3, seed=11, scale=0.04)
@@ -163,6 +165,81 @@ class TestExpansion:
             else:
                 assert unit.spec.vm is None
                 assert unit.spec.nproc in (1, 2)
+
+    def test_attacked_units_carry_their_drawn_attack_parameters(self):
+        units = list(expand_fleet(FleetSpec(**{**SMALL, "hosts": 40,
+                                               "prevalence": 1.0})))
+        burns = {u.spec.attack_kwargs["burn_fraction"]
+                 for u in units if u.kind == "vm"}
+        assert burns == {burn for burn, _ in FleetSpec().burn_mix}
+        for unit in units:
+            if unit.kind == "bare":
+                assert unit.spec.attack_kwargs == {"nice": -20,
+                                                   "forks": 320}
+
+
+def _reference_groups(fleet, host_range=None):
+    """The naive fold: hash every unit of the expansion, group by key,
+    and relabel each first-seen representative with its weight."""
+    groups = {}
+    for unit in expand_fleet(fleet, host_range=host_range):
+        key = spec_key(unit.spec)
+        if key in groups:
+            groups[key][1] += 1
+        else:
+            groups[key] = [unit, 1]
+    result = []
+    for key, (unit, weight) in groups.items():
+        label = (f"fleet:{unit.kind}:{unit.workload}"
+                 f"{':attacked' if unit.attacked else ''}"
+                 f"{f':i={unit.intensity}' if unit.intensity else ''}"
+                 f"{f':sync={unit.sync_offset_ns}' if unit.sync_offset_ns else ''}"
+                 f":x{weight}")
+        result.append((key, weight,
+                       replace(unit, spec=replace(unit.spec, label=label))))
+    return result
+
+
+#: Non-zero fault mix and an armed sync mix, so every draw dimension
+#: reaches the spec somewhere in the population.
+RICH = dict(hosts=40, guests=2, seed=5, scale=0.04,
+            fault_mix=((0.0, 0.5), (0.1, 0.3), (0.4, 0.2)),
+            sync_mix=((0, 0.5), (2_000_000, 0.3), (8_000_000, 0.2)))
+
+
+class TestDistinctUnitsEquivalence:
+    """distinct_units hashes once per distinct draw; it must still equal
+    the fold that hashes every slot, group for group."""
+
+    @pytest.mark.parametrize("vm_fraction", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("prevalence", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("host_range", [None, (0, 13), (13, 40),
+                                            (7, 8)])
+    def test_equals_the_per_slot_reference(self, vm_fraction, prevalence,
+                                           host_range):
+        fleet = FleetSpec(**RICH, vm_fraction=vm_fraction,
+                          prevalence=prevalence)
+        got = [(g.key, g.weight, g.unit)
+               for g in distinct_units(fleet, host_range=host_range)]
+        assert got == _reference_groups(fleet, host_range)
+
+    def test_spec_key_runs_once_per_distinct_draw(self, monkeypatch):
+        from repro.fleet import expand
+
+        calls = []
+
+        def counting_spec_key(spec):
+            calls.append(spec)
+            return spec_key(spec)
+
+        monkeypatch.setattr(expand, "spec_key", counting_spec_key)
+        fleet = FleetSpec(hosts=2000, guests=2, prevalence=0.1, seed=7,
+                          scale=0.05)
+        groups = distinct_units(fleet)
+        draws = {draw for _, _, draw in expand._walk(fleet, None)}
+        assert len(calls) == len(draws) == len(groups)
+        assert len(calls) < fleet.population // 20
+        assert sum(g.weight for g in groups) == fleet.population
 
 
 class TestAggregation:

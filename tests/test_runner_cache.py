@@ -1,6 +1,7 @@
 """Result-cache behaviour: hits, invalidation, corruption tolerance."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.runner import (
     run_spec,
     spec_key,
 )
+from repro.runner.specs import _canonical, spec_identity
 
 
 def _spec(**overrides):
@@ -67,6 +69,45 @@ class TestKeying:
         before = spec_key(_spec())
         monkeypatch.setattr(specs_mod, "__version__", "999.0.0")
         assert spec_key(_spec()) != before
+
+
+class TestIdentityTypes:
+    """The identity document serializes field values as they are typed, and
+    every call builds it afresh."""
+
+    @pytest.mark.parametrize("field,a,b", [
+        ("seed", 1, 1.0),
+        ("process_aware_irq_accounting", 1, True),
+    ])
+    def test_equal_configs_of_different_types_keep_distinct_keys(
+            self, field, a, b):
+        # The two configs compare and hash equal but serialize
+        # differently, so their keys have always differed; a cache of
+        # identity documents keyed on the config would merge them.
+        cfg_a = default_config(**{field: a})
+        cfg_b = default_config(**{field: b})
+        assert cfg_a == cfg_b and hash(cfg_a) == hash(cfg_b)
+        forward = [spec_key(_spec(cfg=cfg_a)), spec_key(_spec(cfg=cfg_b))]
+        backward = [spec_key(_spec(cfg=cfg_b)), spec_key(_spec(cfg=cfg_a))]
+        assert forward[0] != forward[1]
+        assert forward == backward[::-1]
+        for cfg in (cfg_a, cfg_b):
+            doc = spec_identity(_spec(cfg=cfg))["cfg"]
+            assert json.dumps(doc) == json.dumps(
+                {k: v for k, v in _canonical(asdict(cfg)).items()
+                 if k != "nproc"})
+
+    @pytest.mark.parametrize("cfg", [None, default_config(hz=1000)])
+    def test_returned_documents_are_fresh(self, cfg):
+        spec = _spec(cfg=cfg)
+        before = json.dumps(spec_identity(spec), sort_keys=True)
+        key = spec_key(spec)
+        doc = spec_identity(spec)
+        doc["cfg"]["costs"]["fork_cycles"] = 1
+        doc["cfg"]["hz"] = 1
+        assert json.dumps(spec_identity(spec), sort_keys=True) == before
+        doc["cfg"].clear()
+        assert spec_key(spec) == key
 
 
 class TestHitMiss:

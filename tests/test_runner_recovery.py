@@ -5,8 +5,8 @@ sweep:
 
 * a worker process that dies outright (``os._exit``, OOM kill, segfault)
   breaks the whole ``ProcessPoolExecutor`` — every in-flight future fails
-  with ``BrokenProcessPool``; the runner must fold each into a
-  retry-or-failure, replace the executor and keep going;
+  with ``BrokenProcessPool``; the runner must replace the executor,
+  charge the death to its culprit only and keep going;
 * a per-point wall-clock timeout below one second — ``signal.alarm``
   truncates to whole seconds (0.3 s becomes "no timeout at all"), so the
   runner uses ``setitimer`` and must honour fractional ceilings in both
@@ -19,10 +19,13 @@ name), so these tests are POSIX-only.
 
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.runner import BatchRunner, ExperimentSpec
+from repro.runner import pool as pool_module
 from repro.runner import specs as specs_module
 
 pytestmark = pytest.mark.skipif(os.name != "posix",
@@ -46,6 +49,56 @@ def _transient_killer(sentinel=""):
     with open(sentinel, "w"):
         pass
     os._exit(42)
+
+
+def _signalling_killer(sentinel=""):
+    """Takes the worker down on every attempt, first leaving a sentinel
+    file that tells :func:`_blocked_until_killed` it has fired."""
+    with open(sentinel, "w"):
+        pass
+    os._exit(42)
+
+
+def _blocked_until_killed(sentinel="", linger_s=0.5):
+    """An honest point that cannot finish before the killer has fired: it
+    waits for the sentinel, then lingers so the pool breaks under it."""
+    deadline = time.monotonic() + 30.0
+    while not os.path.exists(sentinel) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(linger_s)
+    from repro.programs.workloads import make_ourprogram
+    return make_ourprogram(iterations=30, mallocs=2)
+
+
+class _SubmitAfterFirstDone(ProcessPoolExecutor):
+    """Holds every submit after the first until the first point is done,
+    so a killer submitted first has broken the pool by then."""
+
+    first = None
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.first is None:
+            self.first = super().submit(fn, *args, **kwargs)
+            return self.first
+        wait([self.first])
+        return super().submit(fn, *args, **kwargs)
+
+
+class _BrokenBeforeFirstSubmit(ProcessPoolExecutor):
+    """The first pool made is broken before any point is submitted, as
+    when an idle worker is killed."""
+
+    made = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        type(self).made += 1
+        self.broken = type(self).made == 1
+
+    def submit(self, fn, /, *args, **kwargs):
+        if self.broken:
+            raise BrokenProcessPool("an idle worker died")
+        return super().submit(fn, *args, **kwargs)
 
 
 def _good(label):
@@ -79,6 +132,104 @@ class TestBrokenPoolRecovery:
             outcome = by_label[label]
             assert outcome.ok, f"{label}: {outcome.failure}"
             assert outcome.result.usage.total_ns > 0
+
+    def test_worker_death_is_charged_to_its_culprit_only(
+            self, monkeypatch, tmp_path):
+        """An innocent point in flight when the killer takes the pool down
+        is re-run alone and keeps its first attempt; only the killer, which
+        breaks a pool by itself, spends its retry budget."""
+        monkeypatch.setitem(specs_module.PROGRAM_FACTORIES, "__killer__",
+                            _signalling_killer)
+        monkeypatch.setitem(specs_module.PROGRAM_FACTORIES, "__blocked__",
+                            _blocked_until_killed)
+        sentinel = str(tmp_path / "killer-fired")
+        sweep = [
+            ExperimentSpec(program="__killer__",
+                           program_kwargs={"sentinel": sentinel},
+                           label="killer"),
+            ExperimentSpec(program="__blocked__",
+                           program_kwargs={"sentinel": sentinel},
+                           label="innocent"),
+        ]
+
+        runner = BatchRunner(jobs=2, retries=1)
+        outcomes = runner.run(sweep)
+
+        by_label = {o.spec.label: o for o in outcomes}
+        innocent = by_label["innocent"]
+        assert innocent.ok, str(innocent.failure)
+        assert innocent.attempts == 1
+        killer = by_label["killer"]
+        assert not killer.ok
+        assert killer.attempts == 2
+        assert "Broken" in killer.failure.error_type
+
+    def test_quarantine_holds_only_the_points_that_were_running(
+            self, monkeypatch):
+        """A sweep larger than ``jobs`` keeps one point per worker in
+        flight, so a worker death quarantines at most ``jobs`` suspects;
+        the points still queued run in the replacement pool."""
+        monkeypatch.setitem(specs_module.PROGRAM_FACTORIES, "__killer__",
+                            _persistent_killer)
+        alone = []
+        run_alone = BatchRunner._run_alone
+
+        def counted(self, spec):
+            alone.append(spec.label)
+            return run_alone(self, spec)
+
+        monkeypatch.setattr(BatchRunner, "_run_alone", counted)
+        killer = ExperimentSpec(program="__killer__",
+                                program_kwargs={"delay_s": 0.0},
+                                label="killer")
+        sweep = [killer] + [_good(f"g{i}") for i in range(7)]
+
+        runner = BatchRunner(jobs=2, retries=1)
+        outcomes = runner.run(sweep)
+
+        # At most one innocent shared the pool with the killer; the
+        # killer's one retry also runs alone.
+        assert len(alone) <= runner.jobs + runner.retries, alone
+        assert alone.count("killer") >= 1
+        by_label = {o.spec.label: o for o in outcomes}
+        assert not by_label["killer"].ok
+        assert by_label["killer"].attempts == 2
+        for i in range(7):
+            good = by_label[f"g{i}"]
+            assert good.ok, str(good.failure)
+            assert good.attempts == 1
+
+    def test_pool_broken_before_a_submit_is_replaced(self, monkeypatch):
+        """A worker may die between two submits.  A point that could not
+        be submitted never ran: it waits for the replacement pool and is
+        not charged."""
+        monkeypatch.setitem(specs_module.PROGRAM_FACTORIES, "__killer__",
+                            _persistent_killer)
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            _SubmitAfterFirstDone)
+        killer = ExperimentSpec(program="__killer__",
+                                program_kwargs={"delay_s": 0.0},
+                                label="killer")
+
+        outcomes = BatchRunner(jobs=2, retries=1).run([killer, _good("g0")])
+
+        killer_outcome, good = outcomes
+        assert not killer_outcome.ok
+        assert killer_outcome.attempts == 2
+        assert good.ok, str(good.failure)
+        assert good.attempts == 1
+
+    def test_pool_broken_with_nothing_in_flight_is_replaced(
+            self, monkeypatch):
+        monkeypatch.setattr(pool_module, "ProcessPoolExecutor",
+                            _BrokenBeforeFirstSubmit)
+        monkeypatch.setattr(_BrokenBeforeFirstSubmit, "made", 0)
+
+        outcomes = BatchRunner(jobs=2).run([_good("g0"), _good("g1")])
+
+        assert [o.attempts for o in outcomes] == [1, 1]
+        assert all(o.ok for o in outcomes)
+        assert _BrokenBeforeFirstSubmit.made == 2
 
     def test_transient_worker_death_costs_a_retry_not_the_sweep(
             self, monkeypatch, tmp_path):
