@@ -18,7 +18,7 @@ from .inject import (
     ChaosStoreProxy,
     WorkerCrash,
 )
-from .plan import ChaosPlan, gauntlet_plan, normalize_chaos
+from .plan import ChaosPlan, gauntlet_plan
 from .resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -46,6 +46,5 @@ __all__ = [
     "ResilientStore",
     "WorkerCrash",
     "gauntlet_plan",
-    "normalize_chaos",
     "retry_call",
 ]

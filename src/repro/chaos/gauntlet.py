@@ -13,7 +13,7 @@ asserts the properties docs/chaos.md promises, live:
 * chaos changes *when* answers arrive, never *what* they are: each
   surviving shard's aggregate state is bit-identical to a chaos-free
   in-process run of the same host span;
-* the empty plan is an identity: ``normalize_chaos`` collapses it to
+* the empty plan is an identity: ``ChaosPlan.normalize`` collapses it to
   None, and a fully-covered sharded sweep reproduces the serial report
   byte for byte.
 
@@ -38,7 +38,7 @@ from ..serve.service import MeteringService
 from ..serve.store import UsageStore
 from ..verify.chaos import check_chaos_report
 from .inject import ChaosInjector, ChaosStoreProxy
-from .plan import ChaosPlan, gauntlet_plan, normalize_chaos
+from .plan import ChaosPlan, gauntlet_plan
 from .resilience import BackoffPolicy, ResilientStore
 
 #: Gauntlet fleet specs: small enough for CI, rich enough to populate
@@ -190,10 +190,10 @@ def run_gauntlet(db_dir: str, intensity: float = 0.4, shards: int = 3,
 
     # -- empty-plan identity (no servers involved) -------------------------
     check("empty plan normalises to None (identity path)",
-          normalize_chaos(ChaosPlan(seed=seed)) is None
-          and normalize_chaos(None) is None
-          and normalize_chaos(plan) is plan,
-          "normalize_chaos keeps the chaos-free path wrapper-free")
+          ChaosPlan.normalize(ChaosPlan(seed=seed)) is None
+          and ChaosPlan.normalize(None) is None
+          and ChaosPlan.normalize(plan) is plan,
+          "ChaosPlan.normalize keeps the chaos-free path wrapper-free")
     check("unsharded fleet key unchanged by the sharding plumbing",
           fleet_key(fleet) == fleet_key(fleet, host_range=None),
           fleet_key(fleet)[:16])

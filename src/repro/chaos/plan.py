@@ -18,22 +18,24 @@ faults draw from dedicated named ``random.Random`` streams
 so a plan plus a seed reproduces the same fault decisions in the same
 order at every site.
 
-The all-defaults plan is the *empty* plan: :func:`normalize_chaos`
-collapses it to ``None``, no proxy or wrapper is ever installed, and the
-serving path is byte-identical to a build without a chaos layer at all —
-the same identity-neutrality contract the fault and timesync planes keep.
+The all-defaults plan is the *empty* plan: ``ChaosPlan.normalize``
+(:meth:`~repro.plan.Plan.normalize`) collapses it to ``None``, no proxy
+or wrapper is ever installed, and the serving path is byte-identical to
+a build without a chaos layer at all — the same identity-neutrality
+contract the fault and timesync planes keep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 from ..errors import ConfigError
+from ..plan import Plan
 
 
 @dataclass(frozen=True)
-class ChaosPlan:
+class ChaosPlan(Plan):
     """One serving run's worth of deliberate infrastructure faults.
 
     All-defaults (with any resilience-knob setting) is the *empty* plan:
@@ -144,28 +146,6 @@ class ChaosPlan:
         return not (self.has_store_faults() or self.has_worker_faults()
                     or self.has_http_faults())
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
-        doc["down_shards"] = list(self.down_shards)
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "ChaosPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a plan never silently runs chaos-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown chaos plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        kwargs = dict(doc)
-        if "down_shards" in kwargs:
-            kwargs["down_shards"] = tuple(kwargs["down_shards"])
-        return cls(**kwargs)
-
     def describe(self) -> str:
         """Short human summary of the active injectors."""
         parts = []
@@ -194,18 +174,6 @@ class ChaosPlan:
         return (", ".join(parts)
                 + f" (retries {self.retries}, breaker "
                   f"{self.breaker_threshold}@{self.breaker_reset_s:g}s)")
-
-
-def normalize_chaos(chaos) -> "ChaosPlan | None":
-    """Coerce a chaos argument (None, mapping or plan) to an active
-    :class:`ChaosPlan`, collapsing empty plans to None so the zero-chaos
-    serving path stays byte-for-byte identical to a service without a
-    chaos layer."""
-    if chaos is None:
-        return None
-    plan = chaos if isinstance(chaos, ChaosPlan) \
-        else ChaosPlan.from_dict(dict(chaos))
-    return None if plan.is_empty() else plan
 
 
 def gauntlet_plan(intensity: float, seed: int = 0,

@@ -20,11 +20,10 @@ from .injectors import (
     TickFaultInjector,
     TscFault,
 )
-from .plan import FaultPlan, normalize_plan, sweep_plan
+from .plan import FaultPlan, sweep_plan
 
 __all__ = [
     "FaultPlan",
-    "normalize_plan",
     "sweep_plan",
     "TickFaultInjector",
     "TscFault",

@@ -22,14 +22,15 @@ point for point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Any, Dict, Optional, Set
 
 from ..errors import ConfigError
+from ..plan import Plan
 
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(Plan):
     """One run's worth of deliberate hardware/clock faults.
 
     All-defaults (with any ``watchdog`` setting) is the *empty* plan: no
@@ -161,26 +162,14 @@ class FaultPlan:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included — except
-        the CPU-targeting fields, omitted while None so plan documents
-        and every identity derived from them predate-SMP-targeting
-        byte-identically)."""
-        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        """Every field except the CPU-targeting ones, which are omitted
+        while None so plan documents, and every identity derived from
+        them, stay byte-identical to those from before CPU targeting."""
+        doc = super().to_dict()
         for name in ("tick_cpu", "tsc_cpu"):
             if doc[name] is None:
                 del doc[name]
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a spec never silently runs fault-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown fault plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        return cls(**dict(doc))
 
     def describe(self) -> str:
         """Short human summary of the active injectors."""
@@ -212,17 +201,6 @@ class FaultPlan:
             return "no faults"
         wd = "on" if self.watchdog else "off"
         return ", ".join(parts) + f" (watchdog {wd})"
-
-
-def normalize_plan(faults) -> "FaultPlan | None":
-    """Coerce a faults argument (None, mapping or plan) to an active
-    :class:`FaultPlan`, collapsing empty plans to None so the zero-fault
-    path stays byte-for-byte identical to a machine without a fault layer."""
-    if faults is None:
-        return None
-    plan = faults if isinstance(faults, FaultPlan) \
-        else FaultPlan.from_dict(dict(faults))
-    return None if plan.is_empty() else plan
 
 
 def sweep_plan(intensity: float, watchdog: bool = True) -> FaultPlan:

@@ -62,13 +62,13 @@ class Machine:
         spec is treated exactly like no spec: nothing is constructed and
         the machine is bit-identical to a pre-timesync one.
         """
-        from ..faults import normalize_plan
-        from ..timesync import normalize_timesync
+        from ..faults import FaultPlan
+        from ..timesync import TimeSyncSpec
 
         self.cfg = cfg or default_config()
         self.cfg.validate()
-        self.fault_plan = normalize_plan(faults)
-        self.timesync_spec = normalize_timesync(timesync)
+        self.fault_plan = FaultPlan.normalize(faults)
+        self.timesync_spec = TimeSyncSpec.normalize(timesync)
         self.clock = Clock()
         self.events = EventQueue()
         self.rng = DeterministicRng(self.cfg.seed)

@@ -37,10 +37,12 @@ from ..attacks import (
     ThrashingAttack,
 )
 from ..config import MachineConfig, default_config
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
+from ..faults import FaultPlan
 from ..programs.attackers import make_busyloop, make_fork_attacker
 from ..programs.base import Program
 from ..programs.workloads import PAPER_PROGRAMS, make_paper_program
+from ..timesync import TimeSyncSpec
 
 #: program registry key → factory.  The paper programs go through
 #: ``make_paper_program``; the attacker-side programs are addressable too so
@@ -65,6 +67,12 @@ ATTACK_CLASSES: Dict[str, Callable[..., Attack]] = {
     "smp-dodge": SmpDodgeAttack,
     "irq-steer": IrqSteerAttack,
 }
+
+
+#: Spec field → the identity-neutral plan class its mapping holds.  An
+#: empty plan is the same as None everywhere: in the cache key, at parse
+#: time and at run time.
+PLAN_FIELDS = {"faults": FaultPlan, "timesync": TimeSyncSpec}
 
 
 class SpecError(ReproError):
@@ -185,22 +193,12 @@ def spec_identity(spec: ExperimentSpec) -> Dict[str, Any]:
         "vm": _canonical(spec.vm) if spec.vm is not None else None,
         "repro_version": __version__,
     }
-    if spec.faults is not None:
-        from ..faults import normalize_plan
-
-        plan = normalize_plan(spec.faults)
+    for name, plan_cls in PLAN_FIELDS.items():
+        plan = plan_cls.normalize(getattr(spec, name))
         if plan is not None:
-            # Only a non-empty plan joins the identity: empty plans hash
-            # exactly like the pre-fault-layer spec document.
-            doc["faults"] = _canonical(plan.to_dict())
-    if spec.timesync is not None:
-        from ..timesync import normalize_timesync
-
-        sync = normalize_timesync(spec.timesync)
-        if sync is not None:
-            # Same rule as faults: only an active time plane joins the
-            # identity; inert specs hash like the pre-timesync document.
-            doc["timesync"] = _canonical(sync.to_dict())
+            # Only an active plan joins the identity: empty plans hash
+            # exactly like the spec document from before the plan existed.
+            doc[name] = _canonical(plan.to_dict())
     return doc
 
 
@@ -235,8 +233,6 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     configs raise :class:`SpecError`) so a tenant submission can never
     reach :func:`run_spec` malformed.
     """
-    from ..errors import ConfigError
-
     if not isinstance(doc, Mapping):
         raise SpecError(f"spec document must be a mapping, got "
                         f"{type(doc).__name__}")
@@ -287,26 +283,19 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
     max_ns = doc.get("max_ns")
     if max_ns is not None and (not isinstance(max_ns, int) or max_ns <= 0):
         raise SpecError(f"max_ns must be a positive integer, got {max_ns!r}")
-    faults = doc.get("faults")
-    if faults is not None:
-        if not isinstance(faults, Mapping):
-            raise SpecError("'faults' must be a FaultPlan mapping")
-        from ..faults import normalize_plan
-
+    plan_docs = {}
+    for name, plan_cls in PLAN_FIELDS.items():
+        value = doc.get(name)
+        if value is None:
+            continue
+        if not isinstance(value, Mapping):
+            raise SpecError(f"{name!r} must be a {plan_cls.__name__} "
+                            f"mapping")
         try:
-            normalize_plan(faults)
+            plan_cls.normalize(value)
         except (ReproError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad fault plan: {exc}") from None
-    timesync = doc.get("timesync")
-    if timesync is not None:
-        if not isinstance(timesync, Mapping):
-            raise SpecError("'timesync' must be a TimeSyncSpec mapping")
-        from ..timesync import normalize_timesync
-
-        try:
-            normalize_timesync(timesync)
-        except (ReproError, TypeError, ValueError) as exc:
-            raise SpecError(f"bad timesync spec: {exc}") from None
+            raise SpecError(f"bad {name}: {exc}") from None
+        plan_docs[name] = dict(value)
     if vm is not None:
         if not isinstance(vm, Mapping):
             raise SpecError("'vm' must be a mapping of hypervisor knobs")
@@ -321,6 +310,7 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
         if attack is not None and attack not in VM_ATTACK_NAMES:
             raise SpecError(f"unknown vm attack {attack!r}; "
                             f"have {sorted(VM_ATTACK_NAMES)} or 'none'")
+        _check_vm_support(nproc, plan_docs.get("timesync"))
 
     spec = ExperimentSpec(
         program=program,
@@ -333,9 +323,8 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
         check_invariants=doc.get("check_invariants"),
         vm=dict(vm) if vm is not None else None,
         nproc=nproc,
-        faults=dict(faults) if faults is not None else None,
-        timesync=dict(timesync) if timesync is not None else None,
         label=str(doc.get("label", "")),
+        **plan_docs,
     )
     # Fail fast on constructor-level garbage (bad program kwargs are only
     # caught at build time otherwise — deep inside a worker thread).
@@ -348,6 +337,17 @@ def spec_from_dict(doc: Mapping[str, Any]) -> ExperimentSpec:
         except (TypeError, ValueError) as exc:
             raise SpecError(f"bad program/attack kwargs: {exc}") from None
     return spec
+
+
+def _check_vm_support(nproc: int, timesync: Any) -> None:
+    """Reject what the hypervisor path cannot run, at parse and run time
+    alike.  An inert timesync is no time plane at all, so it passes."""
+    if nproc != 1:
+        raise SpecError("vm specs do not support nproc > 1 yet; "
+                        "the hypervisor multiplexes vCPUs onto one pCPU")
+    if TimeSyncSpec.normalize(timesync) is not None:
+        raise SpecError("vm specs do not support timesync yet; the "
+                        "time plane disciplines the bare-metal host")
 
 
 def run_spec(spec: ExperimentSpec):
@@ -368,12 +368,7 @@ def run_spec(spec: ExperimentSpec):
     if spec.vm is not None:
         from ..virt.experiment import run_vm_experiment
 
-        if spec.nproc != 1:
-            raise SpecError("vm specs do not support nproc > 1 yet; "
-                            "the hypervisor multiplexes vCPUs onto one pCPU")
-        if spec.timesync is not None:
-            raise SpecError("vm specs do not support timesync yet; the "
-                            "time plane disciplines the bare-metal host")
+        _check_vm_support(spec.nproc, spec.timesync)
         return run_vm_experiment(
             program=spec.program,
             program_kwargs=spec.program_kwargs,

@@ -10,9 +10,8 @@ servo model, :mod:`repro.timesync.plan` for the attack taxonomy and
 from .netplane import (LinkModel, LocalClock, NtpDaemon, OffsetEstimator,
                        PtpDaemon, SyncNetwork, TimeSyncError,
                        PTP_STEP_THRESHOLD_NS)
-from .plan import SyncAttackPlan, normalize_sync_plan, sweep_sync_plan
-from .spec import (TimeSyncSpec, normalize_timesync, sweep_timesync,
-                   SWEEP_DRIFT_PPB)
+from .plan import SyncAttackPlan, sweep_sync_plan
+from .spec import TimeSyncSpec, sweep_timesync, SWEEP_DRIFT_PPB
 
 __all__ = [
     "LinkModel",
@@ -24,10 +23,8 @@ __all__ = [
     "TimeSyncError",
     "PTP_STEP_THRESHOLD_NS",
     "SyncAttackPlan",
-    "normalize_sync_plan",
     "sweep_sync_plan",
     "TimeSyncSpec",
-    "normalize_timesync",
     "sweep_timesync",
     "SWEEP_DRIFT_PPB",
 ]

@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Dict, Optional
 
 from .netplane import LinkModel, OffsetEstimator, SyncNetwork
-from .plan import normalize_sync_plan
 from .spec import TimeSyncSpec
 
 
@@ -37,7 +36,7 @@ class MachineTimeSync:
         self.machine = machine
         self.network = SyncNetwork(
             machine.rng,
-            attack=normalize_sync_plan(spec.attack),
+            attack=spec.attack,
             link=LinkModel(base_delay_ns=spec.link_delay_ns,
                            jitter_ns=spec.link_jitter_ns),
             start_ns=machine.clock.now)

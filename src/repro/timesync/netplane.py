@@ -233,8 +233,7 @@ class SyncNetwork:
     def __init__(self, rng, attack: Optional[SyncAttackPlan] = None,
                  link: Optional[LinkModel] = None,
                  start_ns: int = 0) -> None:
-        self.attack = attack if attack is None or not attack.is_empty() \
-            else None
+        self.attack = SyncAttackPlan.normalize(attack)
         self.link = link or LinkModel()
         self.start_ns = start_ns
         self.hosts: List[PtpDaemon] = []

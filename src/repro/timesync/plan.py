@@ -15,11 +15,12 @@ PTP deployments:
   protocol timestamps (t1/t4, the master-side pair that crosses the wire);
 * **sync-packet loss** — exchange rounds are dropped, starving the servo.
 
-The plan follows the :class:`~repro.faults.FaultPlan` conventions exactly:
-plain frozen data, JSON round-trip with unknown-key rejection, an
-``is_empty()`` notion collapsed by :func:`normalize_sync_plan` so the
-no-attack path (and every pre-timesync cache key) stays bit-identical, and
-a one-knob :func:`sweep_sync_plan` for figures and the CLI.
+The plan follows the :class:`~repro.plan.Plan` protocol, like
+:class:`~repro.faults.FaultPlan`: plain frozen data, JSON round-trip with
+unknown-key rejection, an ``is_empty()`` notion collapsed by
+``SyncAttackPlan.normalize`` so the no-attack path (and every pre-timesync
+cache key) stays bit-identical, and a one-knob :func:`sweep_sync_plan`
+for figures and the CLI.
 
 Determinism: probabilistic pieces (tamper draws, loss draws, link jitter)
 read dedicated named RNG streams (``timesync:*``) of the run's
@@ -30,14 +31,14 @@ other subsystem sees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping
+from dataclasses import dataclass
 
 from ..errors import ConfigError
+from ..plan import Plan
 
 
 @dataclass(frozen=True)
-class SyncAttackPlan:
+class SyncAttackPlan(Plan):
     """One run's worth of deliberate time-plane misbehaviour.
 
     All-defaults is the *empty* plan: no attack hook is armed and the sync
@@ -97,23 +98,6 @@ class SyncAttackPlan:
     def injected_offset_ns(self) -> int:
         return self.master_offset_ns - self.delay_asymmetry_ns // 2
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full plain-data form (every field, defaults included)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "SyncAttackPlan":
-        """Inverse of :meth:`to_dict`; unknown keys fail loudly so a typo
-        in a spec never silently runs attack-free."""
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown sync attack plan field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        return cls(**dict(doc))
-
     def describe(self) -> str:
         """Short human summary of the armed attack components."""
         parts = []
@@ -129,18 +113,6 @@ class SyncAttackPlan:
         if self.loss_prob > 0:
             parts.append(f"sync-loss p={self.loss_prob:g}")
         return ", ".join(parts) if parts else "no sync attack"
-
-
-def normalize_sync_plan(attack) -> "SyncAttackPlan | None":
-    """Coerce an attack argument (None, mapping or plan) to an active
-    :class:`SyncAttackPlan`, collapsing empty plans to None so the
-    no-attack exchange stays byte-identical to one without an attack
-    layer."""
-    if attack is None:
-        return None
-    plan = attack if isinstance(attack, SyncAttackPlan) \
-        else SyncAttackPlan.from_dict(dict(attack))
-    return None if plan.is_empty() else plan
 
 
 def sweep_sync_plan(offset_ns: int) -> SyncAttackPlan:

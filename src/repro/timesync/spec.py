@@ -5,17 +5,19 @@ A :class:`TimeSyncSpec` is the mapping carried by
 its oscillator is, what the link looks like, whether the guest-side
 defense estimator is armed, and the (optional) :class:`SyncAttackPlan`.
 Like fault plans, an *inert* spec — no attack, no drift, no jitter —
-normalizes to None so absent and do-nothing configurations share one
-identity and every pre-timesync cache key stays bit-identical.
+normalizes to None (:meth:`~repro.plan.Plan.normalize`) so absent and
+do-nothing configurations share one identity and every pre-timesync cache
+key stays bit-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from ..errors import ConfigError
-from .plan import SyncAttackPlan, normalize_sync_plan, sweep_sync_plan
+from ..plan import Plan
+from .plan import SyncAttackPlan, sweep_sync_plan
 
 #: Default sync-exchange cadence (PTP syncs this often; NTP polls 8x
 #: slower — see :class:`~repro.timesync.netplane.NtpDaemon`).
@@ -27,10 +29,11 @@ SWEEP_DRIFT_PPB = 40_000
 
 
 @dataclass(frozen=True)
-class TimeSyncSpec:
+class TimeSyncSpec(Plan):
     """Everything the time plane needs to know about one run."""
 
-    #: The attack plan, or None for an honest network.
+    #: The attack plan, or None for an honest network.  A mapping or an
+    #: empty plan is normalized once, on construction.
     attack: Optional[SyncAttackPlan] = None
     #: ``"ptp"`` or ``"ntp"``.
     protocol: str = "ptp"
@@ -52,61 +55,23 @@ class TimeSyncSpec:
             raise ConfigError("sync interval_ns must be positive")
         if self.link_delay_ns < 0 or self.link_jitter_ns < 0:
             raise ConfigError("link delays must be >= 0")
-        if self.attack is not None and not isinstance(self.attack,
-                                                      SyncAttackPlan):
-            object.__setattr__(self, "attack",
-                               normalize_sync_plan(self.attack))
+        object.__setattr__(self, "attack",
+                           SyncAttackPlan.normalize(self.attack))
 
     def is_empty(self) -> bool:
         """True when running the sync plane would change nothing: no
         attack, a perfect oscillator and a jitterless link leave every
         offset estimate at exactly zero."""
-        attack = normalize_sync_plan(self.attack)
-        return attack is None and self.drift_ppb == 0 \
+        return self.attack is None and self.drift_ppb == 0 \
             and self.link_jitter_ns == 0
 
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        doc: Dict[str, Any] = {
-            f.name: getattr(self, f.name) for f in fields(self)
-            if f.name != "attack"
-        }
-        plan = normalize_sync_plan(self.attack)
-        doc["attack"] = plan.to_dict() if plan is not None else None
-        return doc
-
-    @classmethod
-    def from_dict(cls, doc: Mapping[str, Any]) -> "TimeSyncSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown timesync spec field(s) "
-                              f"{sorted(unknown)}; have {sorted(known)}")
-        kwargs = dict(doc)
-        attack = kwargs.get("attack")
-        if attack is not None and not isinstance(attack, SyncAttackPlan):
-            kwargs["attack"] = SyncAttackPlan.from_dict(dict(attack))
-        return cls(**kwargs)
-
     def describe(self) -> str:
-        plan = normalize_sync_plan(self.attack)
         bits = [self.protocol,
                 f"drift {self.drift_ppb}ppb",
                 "defense on" if self.defense else "defense off"]
-        bits.append(plan.describe() if plan is not None else "no sync attack")
+        bits.append(self.attack.describe() if self.attack is not None
+                    else "no sync attack")
         return ", ".join(bits)
-
-
-def normalize_timesync(timesync) -> Optional[TimeSyncSpec]:
-    """Coerce a timesync argument (None, mapping or spec) to an *active*
-    :class:`TimeSyncSpec`, collapsing inert specs to None — the
-    no-time-plane path constructs nothing and stays bit-identical."""
-    if timesync is None:
-        return None
-    spec = timesync if isinstance(timesync, TimeSyncSpec) \
-        else TimeSyncSpec.from_dict(dict(timesync))
-    return None if spec.is_empty() else spec
 
 
 def sweep_timesync(offset_ns: int, defense: bool = True,
@@ -118,8 +83,7 @@ def sweep_timesync(offset_ns: int, defense: bool = True,
     the figure's strict inequalities are deterministic).  ``interval_ns``
     sets the exchange cadence; short scaled-down runs pass a smaller
     interval so the servo sees enough rounds to converge."""
-    attack = sweep_sync_plan(offset_ns) if offset_ns else None
-    return TimeSyncSpec(attack=normalize_sync_plan(attack),
+    return TimeSyncSpec(attack=sweep_sync_plan(offset_ns),
                         protocol=protocol,
                         drift_ppb=SWEEP_DRIFT_PPB,
                         defense=defense,

@@ -203,11 +203,11 @@ class Hypervisor:
         guests is scaled while the host-side ledger keeps the truth.  Guest
         machines stay fault-free; tick/TSC faults belong to bare-metal
         runs."""
-        from ..faults import normalize_plan
+        from ..faults import FaultPlan
 
         self.cfg = cfg or HypervisorConfig()
         self.cfg.validate()
-        self.fault_plan = normalize_plan(faults)
+        self.fault_plan = FaultPlan.normalize(faults)
         self._steal_lie = (self.fault_plan.steal_lie_factor
                            if self.fault_plan is not None else 1.0)
         #: Net ns of steal-report distortion (injected minus true).

@@ -23,7 +23,6 @@ from repro.chaos import (
     ResilientStore,
     WorkerCrash,
     gauntlet_plan,
-    normalize_chaos,
     retry_call,
 )
 from repro.chaos.inject import FAULTED_STORE_METHODS
@@ -35,21 +34,21 @@ class TestChaosPlan:
     def test_default_plan_is_empty_and_normalises_to_none(self):
         plan = ChaosPlan()
         assert plan.is_empty()
-        assert normalize_chaos(plan) is None
-        assert normalize_chaos(None) is None
+        assert ChaosPlan.normalize(plan) is None
+        assert ChaosPlan.normalize(None) is None
 
     def test_resilience_knobs_do_not_make_a_plan_non_empty(self):
         plan = ChaosPlan(retries=9, backoff_base_ms=50.0,
                          breaker_threshold=2, request_deadline_s=1.0)
         assert plan.is_empty()
-        assert normalize_chaos(plan) is None
+        assert ChaosPlan.normalize(plan) is None
 
     def test_any_fault_probability_makes_it_non_empty(self):
         for field in ("store_error_prob", "worker_crash_prob",
                       "http_error_prob", "http_reset_prob"):
             plan = ChaosPlan(**{field: 0.1})
             assert not plan.is_empty()
-            assert normalize_chaos(plan) is plan
+            assert ChaosPlan.normalize(plan) is plan
         assert not ChaosPlan(down_shards=(1,)).is_empty()
 
     def test_roundtrip_through_dict(self):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import default_config
 from repro.errors import ConfigError
-from repro.faults import FaultPlan, normalize_plan, sweep_plan
+from repro.faults import FaultPlan, sweep_plan
 from repro.faults.injectors import (
     TICK_DROP,
     TICK_FIRE,
@@ -76,11 +76,11 @@ class TestFaultPlan:
         assert not FaultPlan(tick_loss_prob=0.01).is_empty()
 
     def test_normalize_collapses_empty_to_none(self):
-        assert normalize_plan(None) is None
-        assert normalize_plan({}) is None
-        assert normalize_plan({"watchdog": False}) is None
-        assert normalize_plan(FaultPlan()) is None
-        active = normalize_plan({"tick_loss_prob": 0.1})
+        assert FaultPlan.normalize(None) is None
+        assert FaultPlan.normalize({}) is None
+        assert FaultPlan.normalize({"watchdog": False}) is None
+        assert FaultPlan.normalize(FaultPlan()) is None
+        active = FaultPlan.normalize({"tick_loss_prob": 0.1})
         assert isinstance(active, FaultPlan)
 
     def test_sweep_plan_scales_both_knobs(self):

@@ -13,7 +13,8 @@ from repro.runner import (
     run_spec,
     spec_key,
 )
-from repro.runner.specs import _canonical, spec_identity
+from repro.runner.specs import (SpecError, _canonical, spec_from_dict,
+                                spec_identity)
 
 
 def _spec(**overrides):
@@ -108,6 +109,26 @@ class TestIdentityTypes:
         assert json.dumps(spec_identity(spec), sort_keys=True) == before
         doc["cfg"].clear()
         assert spec_key(spec) == key
+
+
+class TestVmSubmissions:
+    """A vm spec the hypervisor cannot run is refused at parse time, not
+    inside a serve worker; an inert time plane is no time plane."""
+
+    @pytest.mark.parametrize("extra", [
+        {"timesync": {"drift_ppb": 1000}},
+        {"nproc": 2},
+    ], ids=["active-timesync", "nproc"])
+    def test_unsupported_vm_specs_rejected_at_parse(self, extra):
+        doc = {"program": "busyloop", "vm": {}, **extra}
+        with pytest.raises(SpecError, match="vm specs do not support"):
+            spec_from_dict(doc)
+
+    def test_inert_timesync_vm_spec_accepted(self):
+        spec = spec_from_dict({"program": "busyloop", "vm": {},
+                               "timesync": {"drift_ppb": 0}})
+        plain = spec_from_dict({"program": "busyloop", "vm": {}})
+        assert spec_key(spec) == spec_key(plain)
 
 
 class TestHitMiss:

@@ -28,8 +28,6 @@ from repro.timesync import (
     SyncNetwork,
     TimeSyncError,
     TimeSyncSpec,
-    normalize_sync_plan,
-    normalize_timesync,
     sweep_sync_plan,
     sweep_timesync,
 )
@@ -83,10 +81,10 @@ class TestSyncAttackPlan:
             SyncAttackPlan(**kwargs)
 
     def test_normalize_collapses_empty_to_none(self):
-        assert normalize_sync_plan(None) is None
-        assert normalize_sync_plan({}) is None
-        assert normalize_sync_plan(SyncAttackPlan()) is None
-        assert normalize_sync_plan(
+        assert SyncAttackPlan.normalize(None) is None
+        assert SyncAttackPlan.normalize({}) is None
+        assert SyncAttackPlan.normalize(SyncAttackPlan()) is None
+        assert SyncAttackPlan.normalize(
             {"loss_prob": 0.5}) == SyncAttackPlan(loss_prob=0.5)
 
     def test_injected_offset(self):
@@ -260,20 +258,28 @@ class TestOffsetEstimator:
 
 class TestTimeSyncSpec:
     def test_roundtrip(self):
-        spec = TimeSyncSpec(attack=sweep_sync_plan(2_000_000),
-                            protocol="ntp", drift_ppb=10_000,
-                            link_jitter_ns=50_000, defense=False)
-        assert TimeSyncSpec.from_dict(spec.to_dict()) == spec
+        specs = [
+            TimeSyncSpec(attack=sweep_sync_plan(2_000_000),
+                         protocol="ntp", drift_ppb=10_000,
+                         link_jitter_ns=50_000, defense=False),
+            # An empty attack is no attack, however it arrives.
+            TimeSyncSpec(attack=SyncAttackPlan(), drift_ppb=5),
+            TimeSyncSpec(drift_ppb=5, attack={"loss_prob": 0.0}),
+        ]
+        for spec in specs:
+            assert TimeSyncSpec.from_dict(spec.to_dict()) == spec
+        assert TimeSyncSpec.from_dict(
+            {"drift_ppb": 5, "attack": {"loss_prob": 0.0}}) == specs[2]
 
     def test_unknown_key_fails_loudly(self):
         with pytest.raises(ConfigError, match="protocl"):
             TimeSyncSpec.from_dict({"protocl": "ptp"})
 
     def test_normalize_collapses_inert_to_none(self):
-        assert normalize_timesync(None) is None
-        assert normalize_timesync({}) is None
-        assert normalize_timesync({"drift_ppb": 0}) is None
-        assert normalize_timesync(
+        assert TimeSyncSpec.normalize(None) is None
+        assert TimeSyncSpec.normalize({}) is None
+        assert TimeSyncSpec.normalize({"drift_ppb": 0}) is None
+        assert TimeSyncSpec.normalize(
             {"drift_ppb": 1000}) == TimeSyncSpec(drift_ppb=1000)
 
 
@@ -312,6 +318,17 @@ class TestZeroTimesyncIdentity:
                 program="busyloop",
                 program_kwargs={"total_cycles": 1_000_000},
                 vm={}, timesync=sweep_timesync(1_000_000).to_dict()))
+
+    def test_vm_spec_with_inert_timesync_runs_like_the_plain_vm_spec(self):
+        def vm_spec(**kw):
+            return ExperimentSpec(program="busyloop",
+                                  program_kwargs={"total_cycles": 1_000_000},
+                                  vm={}, **kw)
+
+        plain = vm_spec()
+        inert = vm_spec(timesync={})
+        assert spec_key(inert) == spec_key(plain)
+        assert run_spec(inert).to_dict() == run_spec(plain).to_dict()
 
     def test_bad_timesync_doc_rejected_at_parse(self):
         from repro.runner.specs import spec_from_dict
