@@ -8,22 +8,17 @@ keeps billing exact underneath them.  The ``repro chaos`` gauntlet
 (:mod:`repro.chaos.gauntlet`) runs a sharded fleet through all of it and
 asserts the trustworthiness invariants live.  See ``docs/chaos.md``.
 
-The gauntlet module is imported lazily (it pulls in the serve and fleet
-stacks); everything else here is dependency-light.
+The gauntlet module is imported lazily (it pulls in the fleet stack);
+the store proxies take their operation list from
+:data:`repro.serve.store.STORE_OPERATIONS`.
 """
 
-from .inject import (
-    FAULTED_STORE_METHODS,
-    ChaosInjector,
-    ChaosStoreProxy,
-    WorkerCrash,
-)
+from .inject import ChaosInjector, ChaosStoreProxy, WorkerCrash
 from .plan import ChaosPlan, gauntlet_plan
 from .resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
     BREAKER_OPEN,
-    RESILIENT_METHODS,
     BackoffPolicy,
     CircuitBreaker,
     CircuitOpenError,
@@ -35,8 +30,6 @@ __all__ = [
     "BREAKER_CLOSED",
     "BREAKER_HALF_OPEN",
     "BREAKER_OPEN",
-    "FAULTED_STORE_METHODS",
-    "RESILIENT_METHODS",
     "BackoffPolicy",
     "ChaosInjector",
     "ChaosPlan",

@@ -25,6 +25,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Optional, Tuple
 
+from ..serve.store import STORE_OPERATIONS
 from .plan import ChaosPlan
 
 
@@ -99,20 +100,10 @@ class ChaosInjector:
         return None
 
 
-#: Store methods the proxy injects faults in front of — the read and
-#: write paths a real contended SQLite file would throw on.  Reservation
-#: bookkeeping (purely in-memory) and diagnostics are exempt.
-FAULTED_STORE_METHODS = frozenset({
-    "register_tenant", "tenant", "tenants", "set_quota",
-    "create_job", "set_job_state", "job", "jobs_for_tenant",
-    "job_state_counts", "bill_job", "mark_deadline_exceeded",
-    "ledger_for_tenant", "ledger_entry_for_job", "ledger_total_ns",
-    "ledger_count", "billed_ns_by_tenant_trust", "find_result_by_spec",
-})
-
-
 class ChaosStoreProxy:
-    """Delegating proxy that fires store faults before each operation."""
+    """Delegating proxy that fires store faults before each operation in
+    :data:`~repro.serve.store.STORE_OPERATIONS` — the read and write
+    paths a real contended SQLite file would throw on."""
 
     def __init__(self, store: Any, injector: ChaosInjector) -> None:
         self._store = store
@@ -120,7 +111,7 @@ class ChaosStoreProxy:
 
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._store, name)
-        if name not in FAULTED_STORE_METHODS or not callable(attr):
+        if name not in STORE_OPERATIONS or not callable(attr):
             return attr
         injector = self.chaos_injector
 

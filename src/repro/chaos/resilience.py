@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional, Tuple, Type
 
 from ..errors import ReproError
+from ..serve.store import STORE_OPERATIONS
 from .plan import ChaosPlan
 
 #: Breaker states, in escalation order.
@@ -203,27 +204,16 @@ class CircuitBreaker:
         return result
 
 
-#: Store methods the resilient wrapper retries.  Every one is idempotent
-#: by the store's own design (see the module docstring), which is the
-#: precondition for blind retry being correct.
-RESILIENT_METHODS = frozenset({
-    "register_tenant", "tenant", "tenants", "set_quota",
-    "create_job", "set_job_state", "job", "jobs_for_tenant",
-    "job_state_counts", "bill_job", "mark_deadline_exceeded",
-    "ledger_for_tenant", "ledger_entry_for_job", "ledger_total_ns",
-    "ledger_count", "billed_ns_by_tenant_trust", "find_result_by_spec",
-})
-
-
 class ResilientStore:
     """Retry + circuit-breaker front over a ``UsageStore``-shaped object.
 
     Transparent to callers: every attribute resolves on the wrapped
-    store, and the methods in :data:`RESILIENT_METHODS` are re-issued
-    under the backoff policy when they raise a transient SQLite error,
-    behind one shared circuit breaker.  Counters (``retries_total``,
-    ``breaker``) feed ``/metrics`` and the gauntlet's absorbed-fault
-    accounting.
+    store, and the methods in :data:`~repro.serve.store.STORE_OPERATIONS`
+    (each idempotent by the store's own design, the precondition for
+    blind retry) are re-issued under the backoff policy when they raise
+    a transient SQLite error, behind one shared circuit breaker.
+    Counters (``retries_total``, ``breaker``) feed ``/metrics`` and the
+    gauntlet's absorbed-fault accounting.
     """
 
     def __init__(self, store: Any,
@@ -251,7 +241,7 @@ class ResilientStore:
 
     def __getattr__(self, name: str) -> Any:
         attr = getattr(self._store, name)
-        if name not in RESILIENT_METHODS or not callable(attr):
+        if name not in STORE_OPERATIONS or not callable(attr):
             return attr
 
         def wrapped(*args: Any, **kwargs: Any) -> Any:

@@ -24,6 +24,7 @@ Layers (each importable on its own):
 """
 
 from .store import (
+    STORE_OPERATIONS,
     InjectedCrash,
     LedgerEntry,
     QuotaExceeded,
@@ -36,6 +37,7 @@ from .api import ReproServer, serve_forever
 from .selftest import run_selftest
 
 __all__ = [
+    "STORE_OPERATIONS",
     "InjectedCrash",
     "LedgerEntry",
     "MeteringService",

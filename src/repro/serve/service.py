@@ -146,17 +146,16 @@ class MeteringService:
                                f"have {sorted(PLANS)}")
         return self.store.register_tenant(name, plan=plan, quota_ns=quota_ns)
 
-    def tenant_doc(self, tenant_id: str) -> Dict[str, Any]:
+    def _tenant(self, tenant_id: str) -> Dict[str, Any]:
         try:
-            tenant = self.store.tenant(tenant_id)
+            return self.store.tenant(tenant_id)
         except KeyError:
             raise NotFound(f"no such tenant {tenant_id!r}") from None
+
+    def tenant_doc(self, tenant_id: str) -> Dict[str, Any]:
+        tenant = self._tenant(tenant_id)
         tenant["billed_ns"] = self.store.ledger_total_ns(tenant_id)
-        tenant["jobs"] = {
-            state: sum(1 for job in
-                       self.store.jobs_for_tenant(tenant_id, state=state))
-            for state in ("queued", "running", "completed", "failed",
-                          "rejected")}
+        tenant["jobs"] = self.store.job_state_counts(tenant_id)
         return tenant
 
     def set_quota(self, tenant_id: str,
@@ -265,10 +264,7 @@ class MeteringService:
             raise ServiceError(
                 f"over_quota must be 'reject' or 'queue', "
                 f"got {over_quota!r}")
-        try:
-            tenant = self.store.tenant(tenant_id)
-        except KeyError:
-            raise NotFound(f"no such tenant {tenant_id!r}") from None
+        tenant = self._tenant(tenant_id)
 
         with self._lock:
             job, created = self.store.create_job(
@@ -431,21 +427,22 @@ class MeteringService:
             doc["fleet_state"] = aggregator.to_state()
         return doc
 
+    def _plan(self, tenant_id: str) -> PricePlan:
+        return PLANS[self.store.tenant(tenant_id)["plan"]]
+
     def _bill(self, job_id: str, job: Dict[str, Any],
               result_doc: Dict[str, Any], cached: bool) -> None:
-        tenant = self.store.tenant(job["tenant_id"])
-        plan = PLANS[tenant["plan"]]
-        usage = result_doc["usage"]
-        utime_ns = int(usage["utime_ns"])
-        stime_ns = int(usage["stime_ns"])
-        billed_ns = utime_ns + stime_ns
-        trust = TrustReport.from_stats(result_doc.get("stats", {}))
+        """Append the ledger row from the job's invoice: the row and every
+        later invoice of the job are one derivation of one result."""
+        invoice = invoice_doc_for(spec_doc_name(job["spec"]), result_doc,
+                                  self._plan(job["tenant_id"]))
         self.store.bill_job(
             job_id, result_doc,
-            billed_ns=billed_ns, utime_ns=utime_ns, stime_ns=stime_ns,
-            trust_level=trust.level.value,
-            uncertainty_ns=trust.uncertainty_ns,
-            amount_microdollars=plan.cost_microdollars(billed_ns),
+            billed_ns=invoice["billed_ns"], utime_ns=invoice["utime_ns"],
+            stime_ns=invoice["stime_ns"],
+            trust_level=invoice["trust"]["level"],
+            uncertainty_ns=invoice["trust"]["uncertainty_ns"],
+            amount_microdollars=invoice["amount_microdollars"],
             cached=cached)
 
     # -- queries -----------------------------------------------------------
@@ -455,16 +452,18 @@ class MeteringService:
             job = self.store.job(job_id)
         except KeyError:
             raise NotFound(f"no such job {job_id!r}") from None
-        if job["state"] == "completed":
-            job["invoice"] = self._invoice_for_job(job)
-        else:
-            job["invoice"] = None
-        return job
+        return self._with_invoice(job)
 
-    def _invoice_for_job(self, job: Dict[str, Any]) -> Dict[str, Any]:
-        tenant = self.store.tenant(job["tenant_id"])
-        return invoice_doc_for(spec_doc_name(job["spec"]), job["result"],
-                               PLANS[tenant["plan"]])
+    def _with_invoice(self, job: Dict[str, Any],
+                      plan: Optional[PricePlan] = None) -> Dict[str, Any]:
+        """Attach the invoice a completed job's stored result implies
+        (None for any other state); ``plan`` saves the tenant read."""
+        job["invoice"] = None
+        if job["state"] == "completed":
+            job["invoice"] = invoice_doc_for(
+                spec_doc_name(job["spec"]), job["result"],
+                plan or self._plan(job["tenant_id"]))
+        return job
 
     def _completed_job(self, job_id: str) -> Dict[str, Any]:
         job = self.job_doc(job_id)
@@ -476,9 +475,7 @@ class MeteringService:
         return self._completed_job(job_id)["invoice"]
 
     def trust_doc(self, job_id: str) -> Dict[str, Any]:
-        job = self._completed_job(job_id)
-        trust = TrustReport.from_stats(job["result"].get("stats", {}))
-        doc = trust.to_dict()
+        doc = dict(self._completed_job(job_id)["invoice"]["trust"])
         doc["schema"] = TRUST_SCHEMA
         doc["job_id"] = job_id
         return doc
@@ -488,13 +485,11 @@ class MeteringService:
         provenance oracle for process jobs (see
         :func:`repro.metering.steal.audit_result`)."""
         job = self._completed_job(job_id)
-        result = ExperimentResult.from_dict(job["result"])
-        trust = TrustReport.from_stats(result.stats)
         report = audit_result(
-            result,
+            ExperimentResult.from_dict(job["result"]),
             tolerance_fraction=self.audit_tolerance_fraction,
             tolerance_floor_ns=self.audit_floor_ns,
-            trust_uncertainty_ns=trust.uncertainty_ns)
+            trust_uncertainty_ns=job["invoice"]["trust"]["uncertainty_ns"])
         return {
             "schema": AUDIT_SCHEMA,
             "job_id": job_id,
@@ -528,14 +523,14 @@ class MeteringService:
             "schema": USAGE_SCHEMA,
             "tenant": tenant,
             "ledger": [entry.to_dict() for entry in ledger],
-            "total_billed_ns": self.store.ledger_total_ns(tenant_id),
+            "total_billed_ns": tenant["billed_ns"],
             "total_amount_microdollars": sum(
                 entry.amount_microdollars for entry in ledger),
         }
 
     def jobs_doc(self, tenant_id: str) -> List[Dict[str, Any]]:
-        self.tenant_doc(tenant_id)  # NotFound on unknown tenant
-        return [self.job_doc(job["job_id"])
+        plan = PLANS[self._tenant(tenant_id)["plan"]]
+        return [self._with_invoice(job, plan)
                 for job in self.store.jobs_for_tenant(tenant_id)]
 
     def metrics_text(self) -> str:

@@ -60,6 +60,18 @@ class InjectedCrash(RuntimeError):
 #: ``rejected`` jobs were refused at submission and will never run.
 JOB_STATES = ("queued", "running", "completed", "failed", "rejected")
 
+#: Every store method that touches SQLite, each idempotent: the chaos
+#: plane's fault proxy fires in front of exactly these and its resilient
+#: wrapper retries exactly these.
+STORE_OPERATIONS = frozenset({
+    "register_tenant", "tenant", "tenants", "set_quota",
+    "create_job", "set_job_state", "job", "mark_deadline_exceeded",
+    "deadline_exceeded_count", "jobs_for_tenant", "job_state_counts",
+    "bill_job", "ledger_for_tenant", "ledger_entry_for_job",
+    "ledger_total_ns", "ledger_count", "billed_ns_by_tenant_trust",
+    "find_result_by_spec",
+})
+
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS tenants (
     tenant_id   TEXT PRIMARY KEY,
@@ -132,6 +144,27 @@ class LedgerEntry:
 _LEDGER_COLUMNS = ("entry_id, job_id, tenant_id, spec_key, billed_ns, "
                    "utime_ns, stime_ns, trust_level, uncertainty_ns, "
                    "amount_microdollars")
+
+_TENANT_FIELDS = ("tenant_id", "name", "plan", "quota_ns")
+_TENANT_COLUMNS = ", ".join(_TENANT_FIELDS)
+
+_JOB_COLUMNS = ("job_id, tenant_id, idempotency_key, spec_key, spec_json, "
+                "state, cached, error, result_json, deadline_exceeded")
+
+
+def _job_from_row(row: Tuple) -> Dict[str, Any]:
+    return {
+        "job_id": row[0],
+        "tenant_id": row[1],
+        "idempotency_key": row[2],
+        "spec_key": row[3],
+        "spec": json.loads(row[4]),
+        "state": row[5],
+        "cached": bool(row[6]),
+        "error": row[7],
+        "result": json.loads(row[8]) if row[8] is not None else None,
+        "deadline_exceeded": bool(row[9]),
+    }
 
 
 class UsageStore:
@@ -245,6 +278,16 @@ class UsageStore:
             with contextlib.suppress(sqlite3.Error):
                 self._conn.close()
 
+    def _one(self, query: str, args: Tuple = ()) -> Optional[Tuple]:
+        """One read statement under the store lock: its first row."""
+        with self._lock:
+            return self._conn.execute(query, args).fetchone()
+
+    def _all(self, query: str, args: Tuple = ()) -> List[Tuple]:
+        """One read statement under the store lock: every row."""
+        with self._lock:
+            return self._conn.execute(query, args).fetchall()
+
     # -- tenants -----------------------------------------------------------
 
     def register_tenant(self, name: str, plan: str = "per-cpu-second",
@@ -271,20 +314,15 @@ class UsageStore:
         return self.tenant(tenant_id)
 
     def tenant(self, tenant_id: str) -> Dict[str, Any]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT tenant_id, name, plan, quota_ns FROM tenants "
-                "WHERE tenant_id = ?", (tenant_id,)).fetchone()
+        row = self._one(f"SELECT {_TENANT_COLUMNS} FROM tenants "
+                        f"WHERE tenant_id = ?", (tenant_id,))
         if row is None:
             raise KeyError(tenant_id)
-        return {"tenant_id": row[0], "name": row[1], "plan": row[2],
-                "quota_ns": row[3]}
+        return dict(zip(_TENANT_FIELDS, row))
 
     def tenants(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT tenant_id FROM tenants ORDER BY tenant_id").fetchall()
-        return [self.tenant(row[0]) for row in rows]
+        return [dict(zip(_TENANT_FIELDS, row)) for row in self._all(
+            f"SELECT {_TENANT_COLUMNS} FROM tenants ORDER BY tenant_id")]
 
     def set_quota(self, tenant_id: str,
                   quota_ns: Optional[int]) -> Dict[str, Any]:
@@ -376,34 +414,25 @@ class UsageStore:
                       error: Optional[str] = None) -> None:
         if state not in JOB_STATES:
             raise StoreError(f"unknown job state {state!r}")
-        with self._lock:
-            self.job(job_id)  # KeyError on unknown job
-            with self._transaction("job"):
-                self._conn.execute(
-                    "UPDATE jobs SET state = ?, error = ? WHERE job_id = ?",
-                    (state, error, job_id))
+        self._update_job(job_id, "state = ?, error = ?", (state, error))
+
+    def _update_job(self, job_id: str, assignments: str,
+                    args: Tuple = ()) -> None:
+        """One job-row UPDATE in its own transaction; an unknown job
+        raises KeyError and rolls back, leaving nothing written."""
+        with self._transaction("job"):
+            cursor = self._conn.execute(
+                f"UPDATE jobs SET {assignments} WHERE job_id = ?",
+                (*args, job_id))
+            if cursor.rowcount == 0:
+                raise KeyError(job_id)
 
     def job(self, job_id: str) -> Dict[str, Any]:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT job_id, tenant_id, idempotency_key, spec_key, "
-                "spec_json, state, cached, error, result_json, "
-                "deadline_exceeded "
-                "FROM jobs WHERE job_id = ?", (job_id,)).fetchone()
+        row = self._one(f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?",
+                        (job_id,))
         if row is None:
             raise KeyError(job_id)
-        return {
-            "job_id": row[0],
-            "tenant_id": row[1],
-            "idempotency_key": row[2],
-            "spec_key": row[3],
-            "spec": json.loads(row[4]),
-            "state": row[5],
-            "cached": bool(row[6]),
-            "error": row[7],
-            "result": json.loads(row[8]) if row[8] is not None else None,
-            "deadline_exceeded": bool(row[9]),
-        }
+        return _job_from_row(row)
 
     def mark_deadline_exceeded(self, job_id: str) -> None:
         """Record that a waiter's deadline elapsed while this job ran.
@@ -413,34 +442,28 @@ class UsageStore:
         restart.  The marker survives completion: a job that finishes
         *after* blowing a deadline keeps the mark as an SLO paper trail.
         """
-        with self._lock:
-            self.job(job_id)  # KeyError on unknown job
-            with self._transaction("job"):
-                self._conn.execute(
-                    "UPDATE jobs SET deadline_exceeded = 1 "
-                    "WHERE job_id = ?", (job_id,))
+        self._update_job(job_id, "deadline_exceeded = 1")
 
     def deadline_exceeded_count(self) -> int:
-        with self._lock:
-            return int(self._conn.execute(
-                "SELECT COUNT(*) FROM jobs WHERE deadline_exceeded = 1"
-            ).fetchone()[0])
+        return int(self._one(
+            "SELECT COUNT(*) FROM jobs WHERE deadline_exceeded = 1")[0])
 
     def jobs_for_tenant(self, tenant_id: str,
                         state: Optional[str] = None) -> List[Dict[str, Any]]:
-        query = ("SELECT job_id FROM jobs WHERE tenant_id = ?"
+        query = (f"SELECT {_JOB_COLUMNS} FROM jobs WHERE tenant_id = ?"
                  + (" AND state = ?" if state else "") + " ORDER BY rowid")
         args = (tenant_id, state) if state else (tenant_id,)
-        with self._lock:
-            rows = self._conn.execute(query, args).fetchall()
-        return [self.job(row[0]) for row in rows]
+        return [_job_from_row(row) for row in self._all(query, args)]
 
-    def job_state_counts(self) -> Dict[str, int]:
-        counts = {state: 0 for state in JOB_STATES}
-        with self._lock:
-            for state, n in self._conn.execute(
-                    "SELECT state, COUNT(*) FROM jobs GROUP BY state"):
-                counts[state] = n
+    def job_state_counts(self,
+                         tenant_id: Optional[str] = None) -> Dict[str, int]:
+        """Jobs per state, over every tenant or just ``tenant_id``'s."""
+        query = ("SELECT state, COUNT(*) FROM jobs"
+                 + (" WHERE tenant_id = ?" if tenant_id else "")
+                 + " GROUP BY state")
+        args = (tenant_id,) if tenant_id else ()
+        counts = dict.fromkeys(JOB_STATES, 0)
+        counts.update(self._all(query, args))
         return counts
 
     # -- billing -----------------------------------------------------------
@@ -456,7 +479,10 @@ class UsageStore:
         ``completed`` with its result attached.
         """
         with self._lock:
-            job = self.job(job_id)  # KeyError on unknown job
+            row = self._one("SELECT tenant_id, spec_key FROM jobs "
+                            "WHERE job_id = ?", (job_id,))
+            if row is None:
+                raise KeyError(job_id)
             with self._transaction("bill"):
                 cursor = self._conn.execute(
                     "INSERT INTO ledger (job_id, tenant_id, spec_key, "
@@ -464,7 +490,7 @@ class UsageStore:
                     "uncertainty_ns, amount_microdollars) "
                     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?) "
                     "ON CONFLICT (job_id) DO NOTHING",
-                    (job_id, job["tenant_id"], job["spec_key"],
+                    (job_id, *row,
                      int(billed_ns), int(utime_ns), int(stime_ns),
                      trust_level, int(uncertainty_ns),
                      int(amount_microdollars)))
@@ -478,50 +504,37 @@ class UsageStore:
             return billed_now
 
     def ledger_for_tenant(self, tenant_id: str) -> List[LedgerEntry]:
-        with self._lock:
-            rows = self._conn.execute(
-                f"SELECT {_LEDGER_COLUMNS} FROM ledger WHERE tenant_id = ? "
-                f"ORDER BY entry_id", (tenant_id,)).fetchall()
-        return [LedgerEntry(*row) for row in rows]
+        return [LedgerEntry(*row) for row in self._all(
+            f"SELECT {_LEDGER_COLUMNS} FROM ledger WHERE tenant_id = ? "
+            f"ORDER BY entry_id", (tenant_id,))]
 
     def ledger_entry_for_job(self, job_id: str) -> Optional[LedgerEntry]:
-        with self._lock:
-            row = self._conn.execute(
-                f"SELECT {_LEDGER_COLUMNS} FROM ledger WHERE job_id = ?",
-                (job_id,)).fetchone()
+        row = self._one(f"SELECT {_LEDGER_COLUMNS} FROM ledger "
+                        f"WHERE job_id = ?", (job_id,))
         return LedgerEntry(*row) if row is not None else None
 
     def ledger_total_ns(self, tenant_id: str) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COALESCE(SUM(billed_ns), 0) FROM ledger "
-                "WHERE tenant_id = ?", (tenant_id,)).fetchone()
-        return int(row[0])
+        return int(self._one("SELECT COALESCE(SUM(billed_ns), 0) FROM ledger "
+                             "WHERE tenant_id = ?", (tenant_id,))[0])
 
     def ledger_count(self) -> int:
-        with self._lock:
-            return int(self._conn.execute(
-                "SELECT COUNT(*) FROM ledger").fetchone()[0])
+        return int(self._one("SELECT COUNT(*) FROM ledger")[0])
 
     def billed_ns_by_tenant_trust(self) -> Dict[Tuple[str, str], int]:
         """(tenant name, trust level) → summed billed ns, for /metrics."""
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT t.name, l.trust_level, SUM(l.billed_ns) "
-                "FROM ledger l JOIN tenants t ON t.tenant_id = l.tenant_id "
-                "GROUP BY t.name, l.trust_level").fetchall()
-        return {(name, trust): int(total) for name, trust, total in rows}
+        return {(name, trust): int(total) for name, trust, total in self._all(
+            "SELECT t.name, l.trust_level, SUM(l.billed_ns) "
+            "FROM ledger l JOIN tenants t ON t.tenant_id = l.tenant_id "
+            "GROUP BY t.name, l.trust_level")}
 
     def find_result_by_spec(self, spec_key: str) -> Optional[Dict[str, Any]]:
         """The stored result of the earliest completed job with this spec
         identity — how a re-submitted spec is served from the ledger
         instead of re-run (the simulator is deterministic, so the stored
         result IS the result)."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT result_json FROM jobs WHERE spec_key = ? AND "
-                "state = 'completed' AND result_json IS NOT NULL "
-                "ORDER BY rowid LIMIT 1", (spec_key,)).fetchone()
+        row = self._one("SELECT result_json FROM jobs WHERE spec_key = ? AND "
+                        "state = 'completed' AND result_json IS NOT NULL "
+                        "ORDER BY rowid LIMIT 1", (spec_key,))
         return json.loads(row[0]) if row is not None else None
 
     # -- integrity ---------------------------------------------------------
@@ -552,20 +565,27 @@ class UsageStore:
                     "SELECT job_id, COUNT(*) FROM ledger GROUP BY job_id "
                     "HAVING COUNT(*) > 1"):
                 problems.append(f"job {job_id} billed {n} times")
-            for tenant in self.tenants():
-                tenant_id = tenant["tenant_id"]
-                from_results = 0
-                for job in self.jobs_for_tenant(tenant_id,
-                                                state="completed"):
-                    usage = (job["result"] or {}).get("usage", {})
-                    from_results += (int(usage.get("utime_ns", 0))
-                                     + int(usage.get("stime_ns", 0)))
-                ledger_total = self.ledger_total_ns(tenant_id)
-                if ledger_total != from_results:
+            from_results: Dict[str, int] = {}
+            for tenant_id, result_json in self._conn.execute(
+                    "SELECT t.tenant_id, j.result_json FROM tenants t "
+                    "LEFT JOIN jobs j ON j.tenant_id = t.tenant_id "
+                    "AND j.state = 'completed'"):
+                usage = (json.loads(result_json or "null")
+                         or {}).get("usage", {})
+                from_results[tenant_id] = (
+                    from_results.get(tenant_id, 0)
+                    + int(usage.get("utime_ns", 0))
+                    + int(usage.get("stime_ns", 0)))
+            ledger_totals = dict(self._conn.execute(
+                "SELECT tenant_id, SUM(billed_ns) FROM ledger "
+                "GROUP BY tenant_id"))
+            for tenant_id, recomputed in sorted(from_results.items()):
+                ledger_total = ledger_totals.get(tenant_id, 0)
+                if ledger_total != recomputed:
                     problems.append(
                         f"tenant {tenant_id}: ledger total {ledger_total} "
                         f"!= billed ns recomputed from job results "
-                        f"{from_results}")
+                        f"{recomputed}")
         return {"ok": not problems, "problems": problems,
                 "ledger_entries": self.ledger_count(),
                 "jobs": self.job_state_counts()}

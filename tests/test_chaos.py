@@ -8,6 +8,7 @@ circuit breaker walks CLOSED → OPEN → HALF_OPEN → CLOSED exactly as
 documented — all with injected clocks and sleeps, no wall time.
 """
 
+import inspect
 import random
 import sqlite3
 
@@ -25,9 +26,15 @@ from repro.chaos import (
     gauntlet_plan,
     retry_call,
 )
-from repro.chaos.inject import FAULTED_STORE_METHODS
-from repro.chaos.resilience import RESILIENT_METHODS
-from repro.serve.store import UsageStore
+from repro.serve.store import STORE_OPERATIONS, UsageStore
+
+#: Public store methods the chaos proxies deliberately leave alone:
+#: in-memory quota reservations, the integrity self-audit, test crash
+#: hooks and connection teardown.
+EXEMPT_STORE_METHODS = frozenset({
+    "try_reserve", "release_reservation", "reservation_count",
+    "integrity_check", "set_crash_hook", "close",
+})
 
 
 class TestChaosPlan:
@@ -141,8 +148,21 @@ class TestChaosStoreProxy:
         assert injector.injected_total() == 0
         store.close()
 
-    def test_faulted_and_resilient_method_sets_agree(self):
-        assert FAULTED_STORE_METHODS == RESILIENT_METHODS
+    def test_every_store_method_is_an_operation_or_exempt(self):
+        public = {name for name, _ in
+                  inspect.getmembers(UsageStore, inspect.isfunction)
+                  if not name.startswith("_")}
+        assert not STORE_OPERATIONS & EXEMPT_STORE_METHODS
+        assert public == STORE_OPERATIONS | EXEMPT_STORE_METHODS
+
+    def test_metrics_store_reads_are_faulted(self, tmp_path):
+        store = UsageStore(str(tmp_path / "u.db"))
+        injector = ChaosInjector(ChaosPlan(store_error_prob=1.0, seed=0))
+        proxy = ChaosStoreProxy(store, injector)
+        with pytest.raises(sqlite3.OperationalError, match="chaos"):
+            proxy.deadline_exceeded_count()
+        assert injector.injected_by_site() == {"store.error": 1}
+        store.close()
 
 
 class TestBackoffAndRetry:
@@ -294,6 +314,32 @@ class TestResilientStore:
         # Non-resilient attributes delegate straight through.
         assert resilient.chaos_injector is injector
         assert resilient.fsyncs == store.fsyncs
+        store.close()
+
+    def test_retries_the_deadline_exceeded_count(self, tmp_path):
+        store = UsageStore(str(tmp_path / "u.db"))
+
+        class Flaky:
+            """Fails the first two store calls with contention."""
+
+            def __init__(self):
+                self.calls = 0
+
+            def __getattr__(self, name):
+                attr = getattr(store, name)
+
+                def flaky(*args, **kwargs):
+                    self.calls += 1
+                    if self.calls <= 2:
+                        raise sqlite3.OperationalError("database is locked")
+                    return attr(*args, **kwargs)
+                return flaky
+
+        resilient = ResilientStore(
+            Flaky(), policy=BackoffPolicy(retries=3, jitter_fraction=0.0),
+            sleep=lambda s: None)
+        assert resilient.deadline_exceeded_count() == 0
+        assert resilient.retries_total == 2
         store.close()
 
     def test_domain_errors_propagate_without_retry(self, tmp_path):

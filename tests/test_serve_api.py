@@ -200,6 +200,38 @@ class TestEndpointSchemas:
         jpost(base, f"/v1/tenants/{tid}/quota", {"quota_ns": 10 ** 9})
 
 
+class TestJobListing:
+    def test_listing_equals_the_job_documents(self, tmp_path):
+        """A tenant's listing is exactly its per-job documents, in order,
+        across completed, rejected and queued jobs."""
+        store = UsageStore(str(tmp_path / "usage.db"))
+        server = ReproServer(MeteringService(store, jobs=1))
+        server.start_background()
+        base = server.address
+        try:
+            _, tenant = jpost(base, "/v1/tenants", {"name": "mixed"})
+            jobs = f"/v1/tenants/{tenant['tenant_id']}/jobs"
+            spec = {"program": "W", "program_kwargs": {"loops": 120}}
+            assert jpost(base, jobs, {"spec": spec})[0] == 200
+            jpost(base, f"/v1/tenants/{tenant['tenant_id']}/quota",
+                  {"quota_ns": 1})
+            assert jpost(base, jobs, {"spec": spec})[0] == 429
+            status, queued = jpost(base, jobs,
+                                   {"spec": spec, "over_quota": "queue"})
+            assert status == 200
+            status, listing = jget(base, jobs)
+            assert status == 200
+            assert [job["state"] for job in listing["jobs"]] == [
+                "completed", "rejected", "queued"]
+            assert listing["jobs"][2] == queued
+            assert listing["jobs"] == [
+                jget(base, f"/v1/jobs/{job['job_id']}")[1]
+                for job in listing["jobs"]]
+        finally:
+            server.close()
+            server.service.close()
+
+
 class TestPaperScenario:
     """Acceptance criterion: the §IV-B1 tick-dodger's invoice is flagged
     by the live audit, the honest tenant's is not."""

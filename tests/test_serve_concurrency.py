@@ -132,6 +132,17 @@ class TestInterleavedSubmissions:
             assert entry.amount_microdollars == \
                 PER_SECOND_PLAN.cost_microdollars(entry.billed_ns)
 
+    def test_ledger_rows_match_their_invoices(self, contention):
+        store = contention["store"]
+        for job in contention["jobs"].values():
+            entry = store.ledger_entry_for_job(job["job_id"])
+            invoice = job["invoice"]
+            assert (entry.billed_ns, entry.trust_level, entry.uncertainty_ns,
+                    entry.amount_microdollars) == (
+                invoice["billed_ns"], invoice["trust"]["level"],
+                invoice["trust"]["uncertainty_ns"],
+                invoice["amount_microdollars"])
+
     def test_metrics_agree_with_ledger(self, contention):
         text = contention["service"].metrics_text()
         n = len(contention["docs"])

@@ -146,6 +146,24 @@ class TestBilling:
             utime_ns=10)
         assert store.find_result_by_spec("never-ran") is None
 
+    def test_integrity_names_the_tenant_whose_bills_disagree(self, store):
+        honest, padded = (store.register_tenant(name)["tenant_id"]
+                          for name in ("honest", "padded"))
+        store.register_tenant("idle")  # no jobs: 0 recomputed, 0 billed
+        for tid in (honest, honest, padded):
+            job, _ = store.create_job(tid, "k", {})
+            bill(store, job["job_id"])
+        job, _ = store.create_job(padded, "k", {})
+        store.bill_job(job["job_id"], result_doc(), billed_ns=99,
+                       utime_ns=30_000_000, stime_ns=5_000_000,
+                       trust_level="trusted", uncertainty_ns=0,
+                       amount_microdollars=1)
+        report = store.integrity_check()
+        assert not report["ok"]
+        assert report["problems"] == [
+            f"tenant {padded}: ledger total 35000099 != billed ns "
+            f"recomputed from job results 70000000"]
+
 
 class TestCrashRecovery:
     """Kill the store mid-transaction, reopen, audit the wreckage."""
@@ -298,3 +316,35 @@ class TestQuotaStore:
         assert excinfo.value.job["state"] == "rejected"
         assert store.job_state_counts()["rejected"] == 1
         service.close()
+
+
+class TestReadStatementCounts:
+    """Every tenant read is a fixed number of SQL statements: none of them
+    re-fetches per job, so a read costs the same at 1 and at 40 jobs."""
+
+    @staticmethod
+    def statements_per_read(tmp_path, completed):
+        store = UsageStore(str(tmp_path / f"usage-{completed}.db"))
+        service = MeteringService(store, jobs=1)
+        tid = service.register_tenant("acme")["tenant_id"]
+        for i in range(completed):
+            job, _ = store.create_job(tid, f"key-{i}", {"program": "W",
+                                                        "label": f"j{i}"})
+            bill(store, job["job_id"])
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        counts = {}
+        for read in (service.tenant_doc, service.usage_doc,
+                     service.jobs_doc):
+            del statements[:]
+            doc = read(tid)
+            counts[read.__name__] = len(statements)
+        store._conn.set_trace_callback(None)
+        assert len(doc) == completed  # jobs_doc lists every job
+        service.close()
+        return counts
+
+    def test_tenant_reads_issue_the_same_statements_at_any_size(
+            self, tmp_path):
+        assert self.statements_per_read(tmp_path, 1) == \
+            self.statements_per_read(tmp_path, 40)
