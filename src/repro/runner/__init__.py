@@ -6,8 +6,8 @@ funnel their (program × attack × config) points through this package:
 * :mod:`~repro.runner.specs` — picklable :class:`ExperimentSpec` points and
   the worker-side :func:`run_spec` entry;
 * :mod:`~repro.runner.pool` — :class:`BatchRunner` (serial or
-  ``ProcessPoolExecutor`` fan-out, timeout + bounded retry, structured
-  failures);
+  worker-process fan-out, parent-side timeouts + bounded retry,
+  structured failures);
 * :mod:`~repro.runner.cache` — :class:`ResultCache`, content-addressed by
   spec/seed/version hash;
 * :mod:`~repro.runner.progress` — telemetry counters and progress hooks.

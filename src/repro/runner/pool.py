@@ -1,45 +1,37 @@
 """The batch experiment runner: fan a sweep across worker processes.
 
 ``BatchRunner.run(specs)`` resolves each point against the result cache,
-executes the misses — serially for ``jobs=1``, on a
-``concurrent.futures.ProcessPoolExecutor`` otherwise — and returns one
-:class:`RunOutcome` per spec *in input order*.  A point that raises (or
-exceeds the per-run wall timeout) is retried up to ``retries`` times and
-then recorded as a structured :class:`FailureRecord`; the rest of the sweep
-always completes.
+executes the misses and returns one :class:`RunOutcome` per spec *in
+input order*.  ``jobs=1`` without a timeout runs the points in-process;
+otherwise they run on up to ``jobs`` long-lived worker processes, forked
+per ``run()``.  A point that raises, kills its worker or exceeds the
+per-run wall timeout is retried up to ``retries`` times and then recorded
+as a structured :class:`FailureRecord`; the rest of the sweep always
+completes.
 
 Determinism: every point boots a fresh machine from its spec's config and
 seed, so the parallel path is bit-identical to the serial one (the
 equivalence suite enforces this field by field).
 
-Timeouts are enforced *inside* the executing process via a real-time
-interval timer (``SIGALRM``; POSIX main thread only — silently skipped
-elsewhere), at full sub-second resolution, so a hung point turns into an
-ordinary failure instead of a leaked worker.
-
-A worker that dies outright (OOM kill, segfault, ``os._exit``) breaks the
-whole ``ProcessPoolExecutor``.  The runner keeps at most one point per
-worker in flight, so only running points fail with it; it replaces the
-executor, re-runs each of them alone in a single-worker quarantine pool,
-and charges an attempt only to a point that breaks a pool by itself — so
-one worker-killer cannot spend the retry budget of the points it shared
-the pool with.  The sweep continues.
+Each worker has one duplex pipe to the parent and holds at most one
+point, so the parent always knows which point a worker is running.  A
+worker that dies outright (OOM kill, segfault, ``os._exit``) shows as EOF
+on its pipe or as its process sentinel firing; the death is charged to
+exactly the point it held, naming the exit code or signal, and the other
+workers keep running.  A timeout is the parent killing the worker when
+its point's deadline passes, so it holds whichever thread calls ``run()``
+and against a point that masks signals.
 """
 
 from __future__ import annotations
 
-import signal
-import threading
+import multiprocessing
 import time
 import traceback
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from multiprocessing.connection import wait
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..errors import ReproError
 from .cache import ResultCache
@@ -58,6 +50,12 @@ from .specs import ExperimentSpec, run_spec, spec_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (import-cycle guard)
     from ..analysis.experiment import ExperimentResult
+
+#: ``FailureRecord.error_type`` of a point whose worker process died.
+WORKER_DIED = "WorkerDied"
+
+#: ("ok", result, wall_s) or ("error", (type, message, traceback), wall_s).
+Payload = Tuple[str, object, float]
 
 
 class SweepError(ReproError):
@@ -97,45 +95,84 @@ class RunOutcome:
         return self.result is not None
 
 
-class _RunTimeout(Exception):
-    """The in-worker SIGALRM fired."""
+def _error(error_type: str, message: str, wall: float,
+           tb: str = "") -> Payload:
+    return ("error", (error_type, message, tb), wall)
 
 
-def _alarm_handler(signum, frame):  # pragma: no cover - signal context
-    raise _RunTimeout()
-
-
-def _execute_spec(spec: ExperimentSpec,
-                  timeout_s: Optional[float]) -> Tuple[str, object, float]:
-    """Worker-side entry: run one spec, never raise across the pickle
-    boundary.  Returns ("ok", result, wall_s) or ("error", record-less
-    (type, message, traceback) tuple, wall_s)."""
-    use_alarm = (timeout_s is not None and timeout_s > 0
-                 and hasattr(signal, "SIGALRM")
-                 and hasattr(signal, "setitimer")
-                 and threading.current_thread() is threading.main_thread())
+def _execute_spec(spec: ExperimentSpec) -> Payload:
+    """Run one spec and never raise: the exception becomes the payload."""
     start = time.perf_counter()
-    previous = None
-    if use_alarm:
-        previous = signal.signal(signal.SIGALRM, _alarm_handler)
-        # setitimer, not alarm(): alarm truncates to whole seconds, which
-        # turns a 0.5s ceiling into 1s (and 0 into "no timeout at all").
-        signal.setitimer(signal.ITIMER_REAL, timeout_s)
     try:
-        result = run_spec(spec)
-        return ("ok", result, time.perf_counter() - start)
-    except _RunTimeout:
-        wall = time.perf_counter() - start
-        return ("error", ("TimeoutError",
-                          f"run exceeded {timeout_s}s wall clock", ""), wall)
+        return ("ok", run_spec(spec), time.perf_counter() - start)
     except Exception as exc:
-        wall = time.perf_counter() - start
-        return ("error", (type(exc).__name__, str(exc),
-                          traceback.format_exc(limit=8)), wall)
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
+        return _error(type(exc).__name__, str(exc),
+                      time.perf_counter() - start,
+                      traceback.format_exc(limit=8))
+
+
+def _serve(conn, parent_end) -> None:
+    """Worker-process loop: run each spec the parent sends and answer with
+    its payload.  The parent kills the worker when it is done with it."""
+    parent_end.close()  # so the parent's death ends the loop below
+    try:
+        while True:
+            payload = _execute_spec(conn.recv())
+            try:
+                conn.send(payload)
+            except OSError:
+                raise
+            except Exception as exc:
+                # The result does not pickle, so nothing was written:
+                # answer with an ordinary error the retry fold can charge.
+                conn.send(_error(type(exc).__name__,
+                                 str(exc) or type(exc).__name__, payload[2]))
+    except (EOFError, OSError):
+        return  # the parent is gone
+
+
+class _Worker:
+    """One worker process, the parent's end of its pipe, and the index of
+    the point it holds (None while idle)."""
+
+    def __init__(self, context) -> None:
+        self.conn, child_end = context.Pipe()
+        self.process = context.Process(target=_serve,
+                                       args=(child_end, self.conn))
+        self.process.start()
+        child_end.close()
+        self.index: Optional[int] = None
+        self.started = 0.0
+
+    def hand(self, index: int, spec: ExperimentSpec) -> bool:
+        """Give the worker a point; False if it has already died."""
+        try:
+            self.conn.send(spec)
+        except OSError:
+            self.process.join()
+            return False
+        self.index, self.started = index, time.perf_counter()
+        return True
+
+    def take(self) -> Payload:
+        """The held point's payload, or its death if the worker died."""
+        try:
+            if self.conn.poll():
+                return self.conn.recv()
+        except (EOFError, OSError):
+            pass
+        self.process.join()
+        code = self.process.exitcode
+        cause = (f"killed by signal {-code}" if code < 0
+                 else f"exited with code {code}")
+        return _error(WORKER_DIED, f"worker process {cause}",
+                      time.perf_counter() - self.started)
+
+    def close(self) -> None:
+        self.process.kill()
+        self.process.join()
+        self.process.close()
+        self.conn.close()
 
 
 class BatchRunner:
@@ -144,13 +181,16 @@ class BatchRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` (the default) runs in-process with no
-        executor, which is also the reference path for equivalence tests.
+        Worker processes; ``1`` (the default) without a timeout runs
+        in-process, which is also the reference path for equivalence
+        tests.
     cache:
         Optional :class:`ResultCache` (or a path-like, which constructs
         one).  Hits skip execution entirely.
     timeout_s:
-        Per-point wall-clock ceiling, enforced in the executing process.
+        Per-point wall-clock ceiling: the parent kills the worker running
+        a point that passes it.  Setting it runs every point in a worker
+        (one when ``jobs=1``).
     retries:
         Extra attempts after a failed point before recording the failure.
     progress:
@@ -169,6 +209,8 @@ class BatchRunner:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError("timeout_s must be > 0")
         self.jobs = jobs
         self.cache = ResultCache(cache) if isinstance(cache, (str, bytes)) \
             or hasattr(cache, "__fspath__") else cache
@@ -202,10 +244,10 @@ class BatchRunner:
                 live.append(index)
 
         if live:
-            if self.jobs == 1:
+            if self.jobs == 1 and self.timeout_s is None:
                 self._run_serial(specs, live, outcomes, total, emit)
             else:
-                self._run_pool(specs, live, outcomes, total, emit)
+                self._run_workers(specs, live, outcomes, total, emit)
         return [outcome for outcome in outcomes if outcome is not None]
 
     def run_results(self,
@@ -224,7 +266,7 @@ class BatchRunner:
     # -- execution paths ----------------------------------------------------
 
     def _finish(self, outcomes: List[Optional[RunOutcome]], index: int,
-                total: int, payload: Tuple[str, object, float],
+                total: int, payload: Payload,
                 attempt: int, emit: ProgressHook) -> bool:
         """Fold one worker payload into ``outcomes[index]``.  Returns True
         if the point should be retried."""
@@ -261,137 +303,69 @@ class BatchRunner:
                 attempt += 1
                 emit(ProgressEvent(STARTED, index, total, specs[index].name,
                                    attempt=attempt))
-                payload = _execute_spec(specs[index], self.timeout_s)
+                payload = _execute_spec(specs[index])
                 if not self._finish(outcomes, index, total, payload,
                                     attempt, emit):
                     break
 
-    def _run_pool(self, specs, live, outcomes, total, emit) -> None:
-        attempts: Dict[int, int] = {index: 0 for index in live}
-        queue: List[int] = list(live)  # points awaiting (re)submission
-        pending: Dict[object, int] = {}  # in-flight future -> spec index
-        executor = ProcessPoolExecutor(max_workers=self.jobs)
+    def _run_workers(self, specs, live, outcomes, total, emit) -> None:
+        context = multiprocessing.get_context()
+        queue = deque(live)  # points awaiting a worker, retries at the end
+        attempts = dict.fromkeys(live, 0)
+        workers: List[_Worker] = []
         try:
-            while queue or pending:
-                # At most one point per worker in flight: a broken pool
-                # fails every pending future, and only the points that
-                # were running can have killed it.
-                while queue and len(pending) < self.jobs:
-                    try:
-                        future = executor.submit(_execute_spec,
-                                                 specs[queue[0]],
-                                                 self.timeout_s)
-                    except BrokenExecutor:
-                        # A worker died since the last wait.  The points
-                        # in flight carry the breakage into the fold
-                        # below; with none in flight, replace the pool.
-                        if pending:
-                            break
-                        executor.shutdown(wait=False)
-                        executor = ProcessPoolExecutor(max_workers=self.jobs)
-                        continue
-                    index = queue.pop(0)
+            while True:
+                # A dead idle worker is dropped; a replacement is forked
+                # below only if points are still queued.
+                for worker in [w for w in workers if w.index is None
+                               and not w.process.is_alive()]:
+                    workers.remove(worker)
+                    worker.close()
+                idle = [w for w in workers if w.index is None]
+                while queue and (idle or len(workers) < self.jobs):
+                    if idle:
+                        worker = idle.pop()
+                    else:
+                        worker = _Worker(context)
+                        workers.append(worker)
+                    index = queue[0]
+                    if not worker.hand(index, specs[index]):
+                        continue  # died idle: dropped on the next pass
+                    queue.popleft()
                     attempts[index] += 1
                     emit(ProgressEvent(STARTED, index, total,
                                        specs[index].name,
                                        attempt=attempts[index]))
-                    pending[future] = index
-                done, _ = wait(list(pending), return_when=FIRST_COMPLETED)
-                # Points in flight when a worker died outright (OOM kill,
-                # segfault, os._exit), with their breakage payloads.
-                suspects: Dict[int, Tuple[str, object, float]] = {}
-                for future in done:
-                    index = pending.pop(future)
-                    payload, broken = self._collect(future)
-                    if broken:
-                        suspects[index] = payload
-                    elif self._finish(outcomes, index, total, payload,
-                                      attempts[index], emit):
-                        queue.append(index)
-                if suspects:
-                    # The pool is unusable from here: every other
-                    # in-flight future fails with the same breakage.
-                    for future, index in pending.items():
-                        payload, broken = self._collect(future, timeout=5.0)
-                        if broken:
-                            suspects[index] = payload
-                        elif self._finish(outcomes, index, total, payload,
-                                          attempts[index], emit):
-                            queue.append(index)
-                    pending = {}
-                    executor.shutdown(wait=False)
-                    executor = ProcessPoolExecutor(max_workers=self.jobs)
-                    self._quarantine(specs, suspects, attempts, outcomes,
-                                     total, emit)
-        finally:
-            executor.shutdown(wait=False)
-
-    def _quarantine(self, specs, suspects, attempts, outcomes, total,
-                    emit) -> None:
-        """Find which of a broken pool's ``suspects`` killed it.
-
-        Only a point that breaks a pool by itself is charged an attempt:
-        a lone suspect already did; otherwise each suspect re-runs the
-        same attempt alone in a single-worker pool, and the ones that
-        break it are the culprits.  The others keep that re-run's
-        outcome uncharged, so a persistent worker-killer cannot spend
-        the retry budget of innocent points that shared its pool.  A
-        culprit's retries stay in quarantine.  If no suspect breaks its
-        pool again (a one-off crash), the culprit cannot be told apart:
-        every suspect is charged and its re-run counts as its retry.
-        """
-        if len(suspects) == 1:
-            runs = {index: (payload, True)
-                    for index, payload in suspects.items()}
-        else:
-            runs = {index: self._run_alone(specs[index])
-                    for index in suspects}
-        reproduced = any(broken for _, broken in runs.values())
-        for index, (payload, _) in runs.items():
-            if not reproduced:
-                if not self._finish(outcomes, index, total, suspects[index],
+                busy = [w for w in workers if w.index is not None]
+                if not busy:
+                    if not queue:
+                        return
+                    continue  # every worker tried had died: fork anew
+                timeout = None
+                if self.timeout_s is not None:
+                    first = min(w.started for w in busy) + self.timeout_s
+                    timeout = max(0.0, first - time.perf_counter())
+                ready = set(wait([w.conn for w in busy]
+                                 + [w.process.sentinel for w in workers],
+                                 timeout))
+                now = time.perf_counter()
+                for worker in busy:
+                    if ready & {worker.conn, worker.process.sentinel}:
+                        payload = worker.take()
+                    elif (self.timeout_s is not None
+                          and now - worker.started >= self.timeout_s):
+                        worker.process.kill()
+                        worker.process.join()
+                        payload = _error(
+                            "TimeoutError",
+                            f"run exceeded {self.timeout_s}s wall clock",
+                            now - worker.started)
+                    else:
+                        continue
+                    index, worker.index = worker.index, None
+                    if self._finish(outcomes, index, total, payload,
                                     attempts[index], emit):
-                    continue
-                attempts[index] += 1
-                emit(ProgressEvent(STARTED, index, total, specs[index].name,
-                                   attempt=attempts[index]))
-            while self._finish(outcomes, index, total, payload,
-                               attempts[index], emit):
-                attempts[index] += 1
-                emit(ProgressEvent(STARTED, index, total, specs[index].name,
-                                   attempt=attempts[index]))
-                payload, _ = self._run_alone(specs[index])
-
-    def _run_alone(self, spec: ExperimentSpec
-                   ) -> Tuple[Tuple[str, object, float], bool]:
-        with ProcessPoolExecutor(max_workers=1) as executor:
-            return self._collect(executor.submit(_execute_spec, spec,
-                                                 self.timeout_s))
-
-    @classmethod
-    def _collect(cls, future, timeout: Optional[float] = None
-                 ) -> Tuple[Tuple[str, object, float], bool]:
-        """A finished future's payload, and whether its pool broke."""
-        try:
-            return future.result(timeout=timeout), False
-        except BrokenExecutor as exc:
-            return cls._broken_payload(exc), True
-        except Exception as exc:
-            # The future itself raised — an unpicklable result or
-            # argument, most commonly.  Same bounded retry-or-failure fold
-            # as every other error: the point charges its attempt and
-            # retries until the budget runs out.
-            return cls._error_payload(exc), False
-
-    @staticmethod
-    def _broken_payload(exc: BaseException) -> Tuple[str, object, float]:
-        message = str(exc) or ("a worker process died abruptly; "
-                               "the pool was replaced")
-        return ("error", (type(exc).__name__, message, ""), 0.0)
-
-    @staticmethod
-    def _error_payload(exc: BaseException) -> Tuple[str, object, float]:
-        """A future-raised exception (unpicklable result/argument, executor
-        bookkeeping error) as a worker payload — never an empty message."""
-        message = str(exc) or type(exc).__name__
-        return ("error", (type(exc).__name__, message, ""), 0.0)
+                        queue.append(index)
+        finally:
+            for worker in workers:
+                worker.close()

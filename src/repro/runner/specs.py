@@ -4,9 +4,9 @@
 which hold machine references and guest closures — neither survives a trip
 through ``pickle`` to a worker process.  An :class:`ExperimentSpec` instead
 names the program and attack by registry key and carries only plain
-constructor kwargs, so a sweep point can be shipped to a
-``ProcessPoolExecutor`` worker, rebuilt there from scratch, and executed
-with :func:`run_spec` — producing the exact same result the serial path
+constructor kwargs, so a sweep point can be shipped to a worker
+process, rebuilt there from scratch, and executed with
+:func:`run_spec` — producing the exact same result the serial path
 would (the simulator is deterministic given the spec's config and seed).
 
 The spec is also the cache identity: :func:`spec_key` hashes the canonical
